@@ -1,0 +1,6 @@
+"""Makes the benchmark's ``harness`` package and ``compare`` importable."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
