@@ -26,6 +26,7 @@ from repro.arepas import AREPAS, simulate_runtime, simulate_skyline
 from repro.exceptions import ReproError
 from repro.flighting import FlightHarness, build_flighted_dataset
 from repro import obs
+from repro.obs import MetricsRegistry
 from repro.models import (
     GNNPCCModel,
     NNPCCModel,
@@ -42,12 +43,7 @@ from repro.scope import (
     WorkloadGenerator,
     run_workload,
 )
-from repro.serving import (
-    AllocationServer,
-    LoadGenerator,
-    MetricsRegistry,
-    ServerConfig,
-)
+from repro.serving import AllocationServer, LoadGenerator, ServerConfig
 from repro.skyline import Skyline
 from repro.tasq import (
     ScoringPipeline,

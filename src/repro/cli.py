@@ -56,7 +56,6 @@ from repro.serving import (
     LoadGenerator,
     LoadgenConfig,
     ServerConfig,
-    build_server,
 )
 from repro.tasq import ScoringPipeline, token_reduction_report
 
@@ -207,21 +206,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch_size=args.batch,
         deadline_s=args.deadline,
     )
-    server = build_server(
+    server = AllocationServer(
         pipeline,
         config,
-        procs=args.procs,
         repository=repository,
         metrics=obs.get_registry() if obs.enabled() else None,
     )
-    topology = (
-        f"{args.procs} shard processes x {config.workers} workers"
-        if args.procs > 1
-        else f"{config.workers} workers"
-    )
     print(
         f"serving {len(records)} jobs through "
-        f"{topology} (batch <= {config.max_batch_size}) ...",
+        f"{config.workers} workers (batch <= {config.max_batch_size}) ...",
         file=sys.stderr,
     )
     header = (
@@ -245,13 +238,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # run time, so replaying it exercises the full monitoring loop.
         for record, response in responses:
             server.record_completion(response, float(record.runtime))
-        # Snapshot while the fleet is still up, so liveness gauges show
-        # the serving state (sharded servers also pull worker deltas).
-        snapshot = (
-            server.metrics_snapshot()
-            if args.procs > 1
-            else server.metrics.snapshot()
-        )
+
+    snapshot = server.metrics.snapshot()
     counters, gauges = snapshot["counters"], snapshot["gauges"]
     latency = snapshot["histograms"].get("latency_s", {})
     print()
@@ -266,18 +254,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         value = latency.get(quantile)
         if value is not None:
             print(f"{'latency ' + quantile:>24}: {value * 1e3:.2f} ms")
-    gauge_names = (
-        ("shards", "shards_alive", "prep_cache_hit_rate")
-        if args.procs > 1
-        else (
-            "recommendation_cache_hit_rate",
-            "feature_cache_hit_rate",
-            "monitor_rolling_median_ape",
-            "monitor_needs_retraining",
-            "breaker_state",
-        )
-    )
-    for name in gauge_names:
+    for name in (
+        "recommendation_cache_hit_rate",
+        "feature_cache_hit_rate",
+        "monitor_rolling_median_ape",
+        "monitor_needs_retraining",
+        "breaker_state",
+    ):
         print(f"{name:>24}: {gauges.get(name)}")
     return 0
 
@@ -309,10 +292,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         rate_limit_rps=args.rate_limit,
         breaker_recovery_s=1.0,
     )
-    server = build_server(
+    server = AllocationServer(
         ScoringPipeline(model),
         config,
-        procs=args.procs,
         repository=repository,
         metrics=obs.get_registry() if obs.enabled() else None,
     )
@@ -327,7 +309,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             slo_p99_s=args.slo_p99,
         ),
     )
-    shard_stats = None
     with server:
         print(f"cold pass: {args.requests} requests ...", file=sys.stderr)
         cold = loadgen.run(server)
@@ -338,31 +319,15 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         warm = loadgen.run(server)
         print("== warm pass (caches populated) ==")
         print(warm.render())
-        if args.procs > 1:
-            shard_stats = server.stats()
 
+    gauges = server.metrics.snapshot()["gauges"]
     print()
-    if shard_stats is None:
-        gauges = server.metrics.snapshot()["gauges"]
-        print(
-            f"recommendation cache hit rate (lifetime): "
-            f"{gauges['recommendation_cache_hit_rate']:.1%} · "
-            f"feature cache: {gauges['feature_cache_hit_rate']:.1%} · "
-            f"breaker: {gauges['breaker_state']}"
-        )
-    else:
-        prep = shard_stats["prep_cache"]["hit_rate"]
-        prep_text = f"{prep:.1%}" if prep is not None else "n/a"
-        print(f"parent prep cache hit rate: {prep_text}")
-        for entry in shard_stats["shards"]:
-            cache = entry.get("recommendation_cache", {})
-            rate = cache.get("hit_rate")
-            rate_text = f"{rate:.1%}" if rate is not None else "n/a"
-            print(
-                f"  shard {entry['shard']}: recommendation cache "
-                f"{rate_text} ({cache.get('hits', 0)} hits / "
-                f"{cache.get('misses', 0)} misses)"
-            )
+    print(
+        f"recommendation cache hit rate (lifetime): "
+        f"{gauges['recommendation_cache_hit_rate']:.1%} · "
+        f"feature cache: {gauges['feature_cache_hit_rate']:.1%} · "
+        f"breaker: {gauges['breaker_state']}"
+    )
     # Latency SLOs (when configured) gate the exit code so CI can fail
     # a run on either pass.
     return 1 if (cold.slo_violations or warm.slo_violations) else 0
@@ -689,11 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline", type=float, default=None)
     serve.add_argument("--threshold", type=float, default=0.01)
     serve.add_argument("--max-slowdown", type=float, default=None)
-    serve.add_argument(
-        "--procs", type=int, default=1,
-        help="shard processes (1 = single-process server); each shard "
-        "runs its own worker pool and private caches",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     loadtest = sub.add_parser(
@@ -716,10 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--tiny", action="store_true",
         help="smoke-test scale (30 jobs / 60 requests); used by CI",
-    )
-    loadtest.add_argument(
-        "--procs", type=int, default=1,
-        help="shard processes (1 = single-process server)",
     )
     loadtest.add_argument(
         "--slo-p95", type=float, default=None,

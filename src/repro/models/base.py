@@ -39,10 +39,6 @@ class PCCPredictor(ABC):
     name: str = "model"
     #: True when the model guarantees non-increasing predicted PCCs.
     guarantees_monotonic: bool = False
-    #: True when prediction reads ``PCCExample.graph`` (GNN). Serving
-    #: layers that ship only job vectors across process boundaries (the
-    #: sharded front end's shared-memory path) must refuse such models.
-    uses_graph_features: bool = False
 
     def __init__(self) -> None:
         self._fitted = False

@@ -36,7 +36,6 @@ class GNNPCCModel(PCCPredictor):
 
     name = "GNN"
     guarantees_monotonic = True
-    uses_graph_features = True
 
     def __init__(
         self,

@@ -10,8 +10,8 @@ that cost nothing until switched on.
 * :mod:`repro.obs.tracing` — hierarchical spans into a thread-safe ring
   buffer; Chrome-trace export and per-span-name latency tables.
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  log-bucketed latency histograms with label support (the generalized
-  successor of ``repro.serving.metrics``, which now re-exports it).
+  log-bucketed latency histograms with label support, shared by the
+  simulator, the training pipeline, and the allocation server.
 * :mod:`repro.obs.profiling` — opt-in cProfile/tracemalloc capture
   attachable to spans, plus a sampling wall-clock profiler emitting
   flamegraph-compatible folded stacks.

@@ -1,8 +1,7 @@
 """Unified process-wide metrics: counters, gauges, labeled histograms.
 
-Promoted out of ``repro.serving.metrics`` (which now re-exports from
-here) so the simulator, the training pipeline, and the serving layer all
-record into one metric vocabulary. A deliberately small, dependency-free
+The simulator, the training pipeline, and the serving layer all record
+into this one metric vocabulary. A deliberately small, dependency-free
 stand-in for a Prometheus client:
 
 * :class:`Counter` — monotone, thread-safe;
@@ -46,7 +45,6 @@ __all__ = [
     "get_registry",
     "reset_registry",
     "state_delta",
-    "relabel_state",
 ]
 
 
@@ -312,12 +310,12 @@ class MetricsRegistry:
 def state_delta(current: dict[str, dict], previous: dict[str, dict]) -> dict:
     """What changed between two :meth:`MetricsRegistry.dump_state` calls.
 
-    Long-lived worker processes (the serving shards) cannot ship their
-    full cumulative state on every cadence tick — the parent merges
-    additively, so re-sending totals would double-count. Instead each
-    worker keeps its last shipped state and sends only the delta; the
-    result is itself a valid ``merge_state`` payload. Metrics absent
-    from ``previous`` ship whole; unchanged metrics are omitted.
+    Registries are cumulative, so the activity of one window (e.g. one
+    benchmark probe) is the difference of the states taken at its ends.
+    The result is itself a valid ``merge_state`` payload: merged onto a
+    registry holding ``previous`` it reproduces ``current`` (histogram
+    sums up to float rounding). Metrics absent from ``previous`` ship
+    whole; unchanged metrics are omitted.
 
     Histogram ``min``/``max`` are lifetime extrema (per-window extrema
     are not recoverable from two cumulative states) — safe under
@@ -356,45 +354,6 @@ def state_delta(current: dict[str, dict], previous: dict[str, dict]) -> dict:
             "max": state["max"],
         }
     return {"counters": counters, "histograms": histograms}
-
-
-def _parse_labeled_name(key: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`_labeled_name`: ``name{k=v,...}`` -> (name, labels)."""
-    if not (key.endswith("}") and "{" in key):
-        return key, {}
-    name, _, inner = key.partition("{")
-    labels = dict(
-        part.split("=", 1) for part in inner[:-1].split(",") if "=" in part
-    )
-    return name, labels
-
-
-def relabel_state(state: dict[str, dict], **labels) -> dict:
-    """Rewrite every metric key in a state payload with extra labels.
-
-    The sharded server merges each worker's delta under a ``shard=i``
-    label, so one fleet snapshot distinguishes per-shard traffic
-    (``responses_ok{shard=0}`` vs ``responses_ok{shard=1}``) the same
-    way a Prometheus scrape of N processes would. Existing labels are
-    preserved; colliding label names are overwritten.
-    """
-    rendered = {key: str(value) for key, value in labels.items()}
-
-    def rekey(key: str) -> str:
-        name, existing = _parse_labeled_name(key)
-        existing.update(rendered)
-        return _labeled_name(name, existing)
-
-    return {
-        "counters": {
-            rekey(key): value
-            for key, value in state.get("counters", {}).items()
-        },
-        "histograms": {
-            rekey(key): value
-            for key, value in state.get("histograms", {}).items()
-        },
-    }
 
 
 _global_registry = MetricsRegistry()

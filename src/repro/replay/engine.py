@@ -59,12 +59,7 @@ from repro.scope.generator import (
 )
 from repro.scope.repository import JobRepository, TelemetryRecord, run_workload
 from repro.scope.stages import decompose_stages
-from repro.serving import (
-    AllocationServer,
-    PromotionGate,
-    ServerConfig,
-    build_server,
-)
+from repro.serving import AllocationServer, PromotionGate, ServerConfig
 from repro.serving.server import ResponseStatus, ServeResponse
 from repro.tasq import ScoringPipeline
 from repro.tasq.model_store import ModelStore
@@ -229,7 +224,7 @@ class ReplayEngine:
             # is issued, so the serving path is a deterministic function
             # of the request sequence (scoring failures still degrade to
             # the fallback answer, per request).
-            server = build_server(
+            server = AllocationServer(
                 ScoringPipeline(model, risk=cfg.risk),
                 ServerConfig(
                     workers=1,
@@ -237,7 +232,6 @@ class ReplayEngine:
                     max_batch_wait_s=0.0,
                     breaker_failure_threshold=10**9,
                 ),
-                procs=1,
                 store=store,
                 model_name=_MODEL_NAME,
                 repository=repository,

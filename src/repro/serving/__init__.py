@@ -6,39 +6,23 @@ compile time — as an in-process system: a bounded queue and worker
 pool with micro-batching (:mod:`~repro.serving.server`), signature-keyed
 recommendation/feature caches (:mod:`~repro.serving.cache`), token-bucket
 rate limiting plus a circuit breaker (:mod:`~repro.serving.admission`),
-degraded-mode fallbacks (:mod:`~repro.serving.fallback`), a metrics
-registry (:mod:`~repro.serving.metrics`), champion-challenger shadow
-scoring with a coverage-gated promotion rule
-(:mod:`~repro.serving.shadow`), a seeded load generator
-(:mod:`~repro.serving.loadgen`), and a shared-nothing multi-process
-front end that scales the endpoint across cores
-(:mod:`~repro.serving.shard`, routed by the consistent-hash ring in
-:mod:`~repro.serving.ring`).
+degraded-mode fallbacks (:mod:`~repro.serving.fallback`),
+champion-challenger shadow scoring with a coverage-gated promotion rule
+(:mod:`~repro.serving.shadow`), and a seeded load generator
+(:mod:`~repro.serving.loadgen`). Metrics go to a
+:class:`repro.obs.metrics.MetricsRegistry`.
 """
 
 from repro.serving.admission import BreakerState, CircuitBreaker, TokenBucket
-from repro.serving.cache import (
-    FeatureCache,
-    FeatureVectorCache,
-    LRUCache,
-    RecommendationCache,
-)
+from repro.serving.cache import FeatureCache, LRUCache, RecommendationCache
 from repro.serving.fallback import (
     FallbackPolicy,
     HistoricalMedianFallback,
     PassthroughFallback,
     degraded_recommendation,
-    degraded_recommendation_for,
 )
 from repro.serving.loadgen import LoadGenerator, LoadgenConfig, LoadReport
-from repro.serving.metrics import Counter, LatencyHistogram, MetricsRegistry
-from repro.serving.ring import ConsistentHashRing
 from repro.serving.shadow import PromotionGate, ShadowDecision, ShadowState
-from repro.serving.shard import (
-    ShardConfig,
-    ShardedAllocationServer,
-    build_server,
-)
 from repro.serving.server import (
     AllocationServer,
     ResponseStatus,
@@ -47,6 +31,11 @@ from repro.serving.server import (
     ServerConfig,
 )
 
+# The end-to-end benchmark harness (benchmarks/e2e/harness/workloads.py)
+# builds the endpoint under this name, and that harness only changes
+# together with its committed baseline.
+build_server = AllocationServer
+
 __all__ = [
     "TokenBucket",
     "BreakerState",
@@ -54,28 +43,20 @@ __all__ = [
     "LRUCache",
     "RecommendationCache",
     "FeatureCache",
-    "FeatureVectorCache",
     "FallbackPolicy",
     "PassthroughFallback",
     "HistoricalMedianFallback",
     "degraded_recommendation",
-    "degraded_recommendation_for",
-    "Counter",
-    "LatencyHistogram",
-    "MetricsRegistry",
     "ServerConfig",
     "ResponseStatus",
     "ServeResponse",
     "ServeFuture",
     "AllocationServer",
+    "build_server",
     "PromotionGate",
     "ShadowDecision",
     "ShadowState",
     "LoadgenConfig",
     "LoadReport",
     "LoadGenerator",
-    "ConsistentHashRing",
-    "ShardConfig",
-    "ShardedAllocationServer",
-    "build_server",
 ]

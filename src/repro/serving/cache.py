@@ -25,19 +25,12 @@ from collections import OrderedDict
 from collections.abc import Hashable
 from typing import Any
 
-import numpy as np
-
 from repro.exceptions import ServingError
 from repro.scope.plan import QueryPlan
 from repro.scope.signatures import plan_signature
 from repro.tasq.pipeline import PlanFeatures, TokenRecommendation, featurize
 
-__all__ = [
-    "LRUCache",
-    "RecommendationCache",
-    "FeatureCache",
-    "FeatureVectorCache",
-]
+__all__ = ["LRUCache", "RecommendationCache", "FeatureCache"]
 
 _MISSING = object()
 
@@ -156,56 +149,6 @@ class RecommendationCache:
         recommendation: TokenRecommendation,
     ) -> None:
         self._cache.put(self.key(signature, requested_tokens), recommendation)
-
-    def stats(self) -> dict[str, float | int | None]:
-        return self._cache.stats()
-
-    @property
-    def hit_rate(self) -> float | None:
-        return self._cache.hit_rate
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-
-class FeatureVectorCache:
-    """Contiguous float64 job vectors, keyed per instance.
-
-    The sharded front end (`repro.serving.shard`) ships only the
-    aggregated job vector across the process boundary — written straight
-    into a shared-memory slot — so its parent-side preparation cache
-    stores exactly that: a C-contiguous ``float64`` row ready for
-    ``ndarray[i] = vector``. Keys match :class:`FeatureCache` (job id +
-    structural signature): instances of a recurring template share
-    structure but not compile-time estimates, so vectors are never
-    shared across instances.
-    """
-
-    def __init__(self, capacity: int = 8192) -> None:
-        self._cache = LRUCache(capacity)
-
-    @staticmethod
-    def key(job_id: str, signature: str) -> tuple[str, str]:
-        return (job_id, signature)
-
-    def vector_for(self, plan: QueryPlan, signature: str) -> np.ndarray:
-        """Cached job vector for ``plan``, featurizing on miss.
-
-        ``signature`` is passed in (the caller already computed it to
-        route the request) so a hit costs one dictionary lookup and no
-        hashing of the plan structure.
-        """
-        key = self.key(plan.job_id, signature)
-        vector = self._cache.get(key)
-        if vector is None:
-            vector = np.ascontiguousarray(
-                featurize(plan).job_vector, dtype=np.float64
-            )
-            self._cache.put(key, vector)
-        return vector
 
     def stats(self) -> dict[str, float | int | None]:
         return self._cache.stats()

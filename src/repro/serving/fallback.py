@@ -44,31 +44,7 @@ __all__ = [
     "PassthroughFallback",
     "HistoricalMedianFallback",
     "degraded_recommendation",
-    "degraded_recommendation_for",
 ]
-
-
-def degraded_recommendation_for(
-    job_id: str,
-    requested_tokens: int,
-    recommended_tokens: int,
-    assumed_runtime: float = 1.0,
-) -> TokenRecommendation:
-    """A well-formed recommendation carrying no model prediction.
-
-    Plan-free variant: shard workers answer prepared requests (job id +
-    signature only, no :class:`QueryPlan` crosses the process boundary)
-    through this entry point.
-    """
-    flat = PowerLawPCC(a=0.0, b=max(assumed_runtime, 1e-9))
-    return TokenRecommendation(
-        job_id=job_id,
-        pcc=flat,
-        requested_tokens=int(requested_tokens),
-        optimal_tokens=int(min(max(recommended_tokens, 1), requested_tokens)),
-        predicted_runtime_at_requested=flat.runtime(requested_tokens),
-        predicted_runtime_at_optimal=flat.runtime(requested_tokens),
-    )
 
 
 def degraded_recommendation(
@@ -78,19 +54,19 @@ def degraded_recommendation(
     assumed_runtime: float = 1.0,
 ) -> TokenRecommendation:
     """A well-formed recommendation carrying no model prediction."""
-    return degraded_recommendation_for(
-        plan.job_id, requested_tokens, recommended_tokens, assumed_runtime
+    flat = PowerLawPCC(a=0.0, b=max(assumed_runtime, 1e-9))
+    return TokenRecommendation(
+        job_id=plan.job_id,
+        pcc=flat,
+        requested_tokens=int(requested_tokens),
+        optimal_tokens=int(min(max(recommended_tokens, 1), requested_tokens)),
+        predicted_runtime_at_requested=flat.runtime(requested_tokens),
+        predicted_runtime_at_optimal=flat.runtime(requested_tokens),
     )
 
 
 class FallbackPolicy(Protocol):
-    """Anything that can answer when the scoring path cannot.
-
-    Policies may additionally expose
-    ``recommend_by_signature(job_id, signature, requested_tokens)`` —
-    the plan-free path the sharded server uses; servers degrade to a
-    passthrough answer when a custom policy lacks it.
-    """
+    """Anything that can answer when the scoring path cannot."""
 
     def recommend(
         self, plan: QueryPlan, requested_tokens: int
@@ -104,13 +80,6 @@ class PassthroughFallback:
         self, plan: QueryPlan, requested_tokens: int
     ) -> TokenRecommendation:
         return degraded_recommendation(plan, requested_tokens, requested_tokens)
-
-    def recommend_by_signature(
-        self, job_id: str, signature: str, requested_tokens: int
-    ) -> TokenRecommendation:
-        return degraded_recommendation_for(
-            job_id, requested_tokens, requested_tokens
-        )
 
 
 class HistoricalMedianFallback:
@@ -151,20 +120,12 @@ class HistoricalMedianFallback:
     def recommend(
         self, plan: QueryPlan, requested_tokens: int
     ) -> TokenRecommendation:
-        return self.recommend_by_signature(
-            plan.job_id, plan_signature(plan), requested_tokens
-        )
-
-    def recommend_by_signature(
-        self, job_id: str, signature: str, requested_tokens: int
-    ) -> TokenRecommendation:
+        signature = plan_signature(plan)
         median_peak = self._median_peak.get(signature)
         if median_peak is None:
-            return self._passthrough.recommend_by_signature(
-                job_id, signature, requested_tokens
-            )
-        return degraded_recommendation_for(
-            job_id,
+            return self._passthrough.recommend(plan, requested_tokens)
+        return degraded_recommendation(
+            plan,
             requested_tokens,
             median_peak,
             assumed_runtime=self._median_runtime.get(signature, 1.0),

@@ -1,11 +1,9 @@
-"""Seeded load generation against an allocation server.
+"""Seeded load generation against an :class:`AllocationServer`.
 
 Serving work is only credible with a workload behind it. The generator
 builds a deterministic request schedule from the synthetic SCOPE
-population (`repro.scope.generator`) and drives the server — the
-single-process :class:`~repro.serving.server.AllocationServer` or the
-multi-process :class:`~repro.serving.shard.ShardedAllocationServer`
-(anything exposing ``submit``/``request``) — in either mode:
+population (`repro.scope.generator`) and drives the server in either
+mode:
 
 * **closed loop** — ``clients`` threads, each submitting its next
   request as soon as the previous one completes (models a fixed-size
@@ -33,7 +31,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -41,13 +38,6 @@ from repro.exceptions import ServingError
 from repro.obs import trace
 from repro.scope.generator import JobInstance
 from repro.serving.server import AllocationServer, ResponseStatus, ServeFuture
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.serving.shard import ShardedAllocationServer
-
-    AnyServer = Union[AllocationServer, "ShardedAllocationServer"]
-else:
-    AnyServer = AllocationServer
 
 __all__ = ["LoadgenConfig", "LoadReport", "LoadGenerator"]
 
@@ -173,7 +163,7 @@ class LoadGenerator:
         return [self.jobs[order[i]] for i in indices]
 
     # ------------------------------------------------------------------
-    def run(self, server: AnyServer) -> LoadReport:
+    def run(self, server: AllocationServer) -> LoadReport:
         """Issue the schedule against ``server`` and summarise the answers."""
         schedule = self.schedule()
         responses: list = [None] * len(schedule)
@@ -191,7 +181,7 @@ class LoadGenerator:
         return self._report(responses, duration, send_lags)
 
     def _run_closed_loop(
-        self, server: AnyServer, schedule: list[JobInstance], responses: list
+        self, server: AllocationServer, schedule: list[JobInstance], responses: list
     ) -> None:
         cursor_lock = threading.Lock()
         cursor = {"next": 0}
@@ -218,7 +208,7 @@ class LoadGenerator:
             thread.join()
 
     def _run_open_loop(
-        self, server: AnyServer, schedule: list[JobInstance], responses: list
+        self, server: AllocationServer, schedule: list[JobInstance], responses: list
     ) -> list[float]:
         """Submit on a fixed arrival schedule; returns per-request send lag.
 

@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 
 from repro.exceptions import ReproError, ServingError
 from repro.obs import trace
+from repro.obs.metrics import MetricsRegistry
 from repro.scope.plan import QueryPlan
 from repro.scope.repository import JobRepository
 from repro.scope.signatures import plan_signature
@@ -67,17 +68,11 @@ from repro.serving.fallback import (
     FallbackPolicy,
     HistoricalMedianFallback,
     PassthroughFallback,
-    degraded_recommendation_for,
 )
-from repro.serving.metrics import MetricsRegistry
 from repro.serving.shadow import PromotionGate, ShadowDecision, ShadowState
 from repro.tasq.model_store import ModelStore
 from repro.tasq.monitoring import PredictionMonitor
-from repro.tasq.pipeline import (
-    PlanFeatures,
-    ScoringPipeline,
-    TokenRecommendation,
-)
+from repro.tasq.pipeline import ScoringPipeline, TokenRecommendation
 
 __all__ = [
     "ServerConfig",
@@ -152,9 +147,6 @@ class ServeResponse:
     recommendation: TokenRecommendation | None
     reason: str | None
     latency_s: float
-    #: Index of the shard that answered (None for single-process serving).
-    #: The sharded front end routes completion feedback back by it.
-    shard: int | None = None
 
     @property
     def tokens(self) -> int | None:
@@ -187,21 +179,14 @@ class ServeFuture:
 
 @dataclass
 class _Pending:
-    """One queued request plus its bookkeeping.
+    """One queued request plus its bookkeeping."""
 
-    ``plan`` is None for *prepared* submissions (see
-    :meth:`AllocationServer.submit_prepared`): those arrive already
-    featurized, carrying only the identifiers scoring and fallback need.
-    """
-
-    job_id: str
+    plan: QueryPlan
     requested_tokens: int
     signature: str
     future: ServeFuture
     submitted_at: float
     deadline: float | None
-    plan: QueryPlan | None = None
-    features: "PlanFeatures | None" = None
 
 
 class AllocationServer:
@@ -350,48 +335,9 @@ class AllocationServer:
     # ------------------------------------------------------------------
     def submit(self, plan: QueryPlan, requested_tokens: int) -> ServeFuture:
         """Enqueue one request; returns immediately with a future."""
-        return self._admit(
-            plan.job_id, plan_signature(plan), requested_tokens,
-            plan=plan, features=None, precomputed_signature=False,
-        )
-
-    def submit_prepared(
-        self,
-        job_id: str,
-        signature: str,
-        requested_tokens: int,
-        features: PlanFeatures | None = None,
-    ) -> ServeFuture:
-        """Enqueue one request that was featurized upstream.
-
-        The sharded front end (`repro.serving.shard`) computes the plan
-        signature and feature vector once in the parent process and
-        ships only ``(job_id, signature, tokens, features)`` to a worker
-        — the plan itself never crosses the process boundary. Admission,
-        caching, batching, fallback, and budgeting behave exactly as for
-        :meth:`submit`; scoring goes through
-        :meth:`~repro.tasq.pipeline.ScoringPipeline.score_features`.
-        """
-        if not hasattr(self._pipeline, "score_features"):
-            raise ServingError(
-                "prepared submissions need a pipeline exposing "
-                "score_features (plans never reach the scoring call)"
-            )
-        return self._admit(
-            job_id, signature, requested_tokens,
-            plan=None, features=features, precomputed_signature=True,
-        )
-
-    def _admit(
-        self,
-        job_id: str,
-        signature: str,
-        requested_tokens: int,
-        *,
-        plan: QueryPlan | None,
-        features: PlanFeatures | None,
-        precomputed_signature: bool,
-    ) -> ServeFuture:
+        # The signature is hashed before the clock starts: ``latency_s``
+        # covers admission onward, not the caller's key computation.
+        signature = plan_signature(plan)
         if not self._running:
             raise ServingError("server is not running")
         if requested_tokens < 1:
@@ -403,22 +349,22 @@ class AllocationServer:
         if self.rate_limiter is not None and not self.rate_limiter.try_acquire():
             self.metrics.counter("rejected_rate_limited").increment()
             self._finish(
-                future, job_id, ResponseStatus.REJECTED, None,
+                future, plan.job_id, ResponseStatus.REJECTED, None,
                 "rate_limited", now,
             )
             return future
 
         cached = self.recommendation_cache.get(signature, requested_tokens)
         if cached is not None:
-            recommendation = dataclasses.replace(cached, job_id=job_id)
+            recommendation = dataclasses.replace(cached, job_id=plan.job_id)
             self._finish(
-                future, job_id, ResponseStatus.CACHED, recommendation,
+                future, plan.job_id, ResponseStatus.CACHED, recommendation,
                 None, now,
             )
             return future
 
         pending = _Pending(
-            job_id=job_id,
+            plan=plan,
             requested_tokens=int(requested_tokens),
             signature=signature,
             future=future,
@@ -428,8 +374,6 @@ class AllocationServer:
                 if self.config.deadline_s is not None
                 else None
             ),
-            plan=plan,
-            features=features,
         )
         if self.breaker.state is BreakerState.OPEN:
             self.metrics.counter("fallback_breaker_open").increment()
@@ -544,11 +488,15 @@ class AllocationServer:
                 self._fallback(pending, "breaker_open")
             return
 
-        features = [self._features_of(p) for p in live]
+        features = [self.feature_cache.features_for(p.plan) for p in live]
         scoring_started = self._clock()
         try:
             with trace.span("serving.score_batch", batch=len(live)):
-                recommendations = self._score(live, features)
+                recommendations = self._pipeline.score_batch(
+                    [p.plan for p in live],
+                    [p.requested_tokens for p in live],
+                    features,
+                )
         except ReproError:
             if len(live) == 1:
                 self.breaker.record_failure()
@@ -575,32 +523,6 @@ class AllocationServer:
         ):
             self._succeed(pending, recommendation, final)
 
-    def _features_of(self, pending: _Pending) -> PlanFeatures:
-        """Features for one pending request: shipped-in or cache-derived."""
-        if pending.features is not None:
-            return pending.features
-        return self.feature_cache.features_for(pending.plan)
-
-    def _score(
-        self, live: list[_Pending], features: list
-    ) -> list[TokenRecommendation]:
-        """One scoring call for a micro-batch.
-
-        Pipelines exposing ``score_features`` (the real
-        :class:`~repro.tasq.pipeline.ScoringPipeline`) are scored
-        plan-free — bit-identical to ``score_batch`` with precomputed
-        features, and the only path prepared submissions can take.
-        Duck-typed pipelines without it still get the classic
-        ``score_batch(plans, tokens, features)`` call.
-        """
-        tokens = [p.requested_tokens for p in live]
-        score_features = getattr(self._pipeline, "score_features", None)
-        if score_features is not None:
-            return score_features([p.job_id for p in live], tokens, features)
-        return self._pipeline.score_batch(
-            [p.plan for p in live], tokens, features
-        )
-
     def _retry_individually(self, live: list[_Pending], features: list) -> None:
         for pending, plan_features in zip(live, features):
             if not self.breaker.allow():
@@ -608,7 +530,9 @@ class AllocationServer:
                 self._fallback(pending, "breaker_open")
                 continue
             try:
-                recommendation = self._score([pending], [plan_features])[0]
+                recommendation = self._pipeline.score_batch(
+                    [pending.plan], [pending.requested_tokens], [plan_features]
+                )[0]
             except ReproError:
                 self.breaker.record_failure()
                 self.metrics.counter("model_errors").increment()
@@ -664,41 +588,21 @@ class AllocationServer:
             pending.signature, pending.requested_tokens, recommendation
         )
         self._finish(
-            pending.future, pending.job_id, ResponseStatus.OK,
+            pending.future, pending.plan.job_id, ResponseStatus.OK,
             granted if granted is not None else recommendation,
             None, pending.submitted_at,
         )
 
     def _fallback(self, pending: _Pending, reason: str) -> None:
-        if pending.plan is not None:
-            answer = self.fallback.recommend(
-                pending.plan, pending.requested_tokens
-            )
-        else:
-            # Prepared requests carry no plan; policies that know how
-            # answer by signature, anything else passes the request
-            # through (the always-safe degraded answer).
-            by_signature = getattr(
-                self.fallback, "recommend_by_signature", None
-            )
-            if by_signature is not None:
-                answer = by_signature(
-                    pending.job_id, pending.signature,
-                    pending.requested_tokens,
-                )
-            else:
-                answer = degraded_recommendation_for(
-                    pending.job_id, pending.requested_tokens,
-                    pending.requested_tokens,
-                )
         self._finish(
-            pending.future, pending.job_id, ResponseStatus.FALLBACK,
-            answer, reason, pending.submitted_at,
+            pending.future, pending.plan.job_id, ResponseStatus.FALLBACK,
+            self.fallback.recommend(pending.plan, pending.requested_tokens),
+            reason, pending.submitted_at,
         )
 
     def _reject(self, pending: _Pending, reason: str) -> None:
         self._finish(
-            pending.future, pending.job_id, ResponseStatus.REJECTED,
+            pending.future, pending.plan.job_id, ResponseStatus.REJECTED,
             None, reason, pending.submitted_at,
         )
 
@@ -767,8 +671,8 @@ class AllocationServer:
         if shadow is None:
             return
         try:
-            recommendations = shadow.pipeline.score_features(
-                [p.job_id for p in live],
+            recommendations = shadow.pipeline.score_batch(
+                [p.plan for p in live],
                 [p.requested_tokens for p in live],
                 features,
             )
@@ -781,7 +685,7 @@ class AllocationServer:
             if self._shadow is not shadow:
                 return  # replaced concurrently; drop the stale scores
             for pending, recommendation in zip(live, recommendations):
-                shadow.record(pending.job_id, recommendation)
+                shadow.record(pending.plan.job_id, recommendation)
 
     def _observe_challenger(
         self, job_id: str, granted_tokens: int, actual_runtime: float

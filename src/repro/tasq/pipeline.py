@@ -243,9 +243,8 @@ def _scoring_dataset(
     Scoring has no ground truth, so targets/observations are inert
     placeholders — prediction paths only read features and the reference
     token counts. Only identifiers and :class:`PlanFeatures` are needed,
-    so callers holding precomputed features (a serving feature cache, or
-    a shard worker reading vectors out of shared memory) never touch a
-    :class:`~repro.scope.plan.QueryPlan` here.
+    so callers holding precomputed features (a serving feature cache)
+    never touch a :class:`~repro.scope.plan.QueryPlan` here.
     """
     placeholder = PowerLawPCC(a=-1.0, b=1.0)
     dataset = PCCDataset()
@@ -363,11 +362,9 @@ class ScoringPipeline:
     ) -> list[TokenRecommendation]:
         """Recommendations from identifiers plus precomputed features.
 
-        The plan-free scoring entry point: callers that already hold a
-        :class:`PlanFeatures` per job (the serving feature cache, or a
-        shard worker whose feature vectors arrive through shared memory)
-        score without materializing plans. :meth:`score_batch` with
-        ``features`` delegates here, so both paths are bit-identical.
+        The plan-free half of scoring: :meth:`score_batch` with
+        precomputed ``features`` (e.g. from the serving feature cache)
+        delegates here, so both paths are bit-identical.
         """
         if not len(job_ids) == len(requested_tokens) == len(features):
             raise PipelineError(

@@ -11,6 +11,7 @@ instead of 3) is covered by an explicit regression test.
 
 import bisect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ObservabilityError
 from repro.obs.metrics import (
+    Counter,
     LatencyHistogram,
     MetricsRegistry,
     get_registry,
+    state_delta,
 )
 
 
@@ -39,6 +42,52 @@ def bucket_of(bounds: list[float], value: float) -> tuple[float, float]:
         return bounds[-1], math.inf
     lower = bounds[index - 1] if index else 0.0
     return lower, bounds[index]
+
+
+class TestCounter:
+    def test_thread_safety(self):
+        counter = Counter("x")
+
+        def spin():
+            for _ in range(1000):
+                counter.increment()
+
+        threads = [threading.Thread(target=spin) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive()
+        assert counter.value == 8000
+
+
+class TestLatencyHistogram:
+    def test_empty(self):
+        hist = LatencyHistogram("latency")
+        assert hist.count == 0
+        assert hist.mean is None
+        assert hist.quantile(0.5) is None
+        snap = hist.snapshot()
+        assert snap["count"] == 0
+        assert snap["p99"] is None
+
+    def test_snapshot_fields(self):
+        hist = LatencyHistogram("latency")
+        hist.record(0.010)
+        hist.record(0.030)
+        snap = hist.snapshot()
+        assert snap["count"] == 2
+        assert snap["sum"] == pytest.approx(0.040)
+        assert snap["mean"] == pytest.approx(0.020)
+        assert snap["min"] == pytest.approx(0.010)
+        assert snap["max"] == pytest.approx(0.030)
+
+    def test_rejects_bad_values(self):
+        hist = LatencyHistogram("latency")
+        with pytest.raises(ObservabilityError):
+            hist.record(-1.0)
+        with pytest.raises(ObservabilityError):
+            hist.quantile(0.0)
 
 
 class TestQuantileExactness:
@@ -171,6 +220,80 @@ class TestRegistry:
             registry.histogram("h").quantile(1.5)
         with pytest.raises(ObservabilityError):
             LatencyHistogram("h", bounds=[])
+
+    def test_gauge_evaluated_lazily(self):
+        registry = MetricsRegistry()
+        state = {"value": 1}
+        registry.register_gauge("g", lambda: state["value"])
+        assert registry.snapshot()["gauges"]["g"] == 1
+        state["value"] = 2
+        assert registry.snapshot()["gauges"]["g"] == 2
+
+
+class TestStateDelta:
+    """``state_delta`` turns two cumulative dumps into a mergeable window.
+
+    Recorded values are powers of two so histogram sums are exact and
+    states compare with ``==``.
+    """
+
+    def test_merging_delta_onto_previous_reproduces_current(self):
+        registry = MetricsRegistry()
+        registry.counter("requests").increment(3)
+        registry.histogram("latency_s").record(0.5)
+        previous = registry.dump_state()
+        registry.counter("requests").increment(2)
+        registry.counter("errors", kind="model").increment()
+        registry.histogram("latency_s").record(0.25)
+        registry.histogram("latency_s").record(4.0)
+        registry.histogram("queue_s").record(0.125)
+        current = registry.dump_state()
+
+        replica = MetricsRegistry()
+        replica.merge_state(previous)
+        replica.merge_state(state_delta(current, previous))
+        assert replica.dump_state() == current
+
+    def test_unchanged_metrics_are_omitted(self):
+        registry = MetricsRegistry()
+        registry.counter("idle").increment(4)
+        registry.counter("busy").increment()
+        registry.histogram("idle_s").record(1.0)
+        registry.histogram("busy_s").record(1.0)
+        previous = registry.dump_state()
+        assert state_delta(previous, previous) == {
+            "counters": {},
+            "histograms": {},
+        }
+        registry.counter("busy").increment(2)
+        registry.histogram("busy_s").record(2.0)
+        delta = state_delta(registry.dump_state(), previous)
+        assert delta["counters"] == {"busy": 2}
+        assert list(delta["histograms"]) == ["busy_s"]
+        assert delta["histograms"]["busy_s"]["count"] == 1
+        assert delta["histograms"]["busy_s"]["sum"] == 2.0
+
+    def test_metric_absent_from_previous_ships_whole(self):
+        registry = MetricsRegistry()
+        previous = registry.dump_state()
+        registry.counter("requests").increment(7)
+        registry.histogram("latency_s").record(0.5)
+        registry.histogram("latency_s").record(2.0)
+        current = registry.dump_state()
+        delta = state_delta(current, previous)
+        assert delta["counters"] == {"requests": 7}
+        assert delta["histograms"]["latency_s"] == (
+            current["histograms"]["latency_s"]
+        )
+
+    def test_mismatched_histogram_bounds_raise(self):
+        before = MetricsRegistry()
+        before.histogram("h", bounds=[1.0, 2.0]).record(1.0)
+        after = MetricsRegistry()
+        after.histogram("h", bounds=[1.0, 4.0]).record(1.0)
+        after.histogram("h").record(3.0)
+        with pytest.raises(ObservabilityError, match="bounds differ"):
+            state_delta(after.dump_state(), before.dump_state())
 
 
 class TestNumpyCrossCheck:

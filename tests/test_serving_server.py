@@ -23,6 +23,7 @@ from repro.serving import (
     PassthroughFallback,
     ResponseStatus,
     ServerConfig,
+    build_server,
 )
 from repro.tasq import ModelStore, ScoringPipeline, TokenRecommendation
 
@@ -108,6 +109,15 @@ class TestLifecycle:
         server = AllocationServer(StubPipeline())
         with pytest.raises(ServingError):
             server.submit(plans[0], 10)
+
+    def test_build_server_is_the_single_process_server(self):
+        server = build_server(StubPipeline(), ServerConfig(workers=1))
+        assert type(server) is AllocationServer
+
+    def test_requested_tokens_must_be_positive(self, plans):
+        with AllocationServer(StubPipeline()) as server:
+            with pytest.raises(ServingError, match="positive"):
+                server.submit(plans[0], 0)
 
     def test_context_manager(self, plans):
         server = AllocationServer(StubPipeline())
