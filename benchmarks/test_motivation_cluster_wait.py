@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arepas import AREPAS
-from repro.scope.cluster import ClusterQueue, QueuedJob
+from repro.fleet import FleetJob, FleetScheduler
 from repro.tasq import ScoringPipeline
 
 
@@ -34,7 +34,7 @@ def test_motivation_tasq_reduces_wait(
     simulator = AREPAS()
 
     default_stream = [
-        QueuedJob(
+        FleetJob.fixed(
             job_id=r.job_id,
             arrival_time=float(t),
             tokens=r.requested_tokens,
@@ -43,7 +43,7 @@ def test_motivation_tasq_reduces_wait(
         for r, t in zip(records, arrivals)
     ]
     tasq_stream = [
-        QueuedJob(
+        FleetJob.fixed(
             job_id=r.job_id,
             arrival_time=float(t),
             tokens=rec.optimal_tokens,
@@ -53,7 +53,7 @@ def test_motivation_tasq_reduces_wait(
     ]
 
     capacity = max(r.requested_tokens for r in records)
-    queue = ClusterQueue(capacity=capacity)
+    queue = FleetScheduler(capacity)
 
     def run_both():
         return queue.run(default_stream), queue.run(tasq_stream)
@@ -67,8 +67,8 @@ def test_motivation_tasq_reduces_wait(
     assert tasq_report.mean_turnaround < default_report.mean_turnaround
 
     savings = 1.0 - (
-        sum(j.tokens for j in tasq_stream)
-        / sum(j.tokens for j in default_stream)
+        sum(rec.optimal_tokens for rec in recommendations)
+        / sum(r.requested_tokens for r in records)
     )
     lines = [
         f"{len(records)} jobs, capacity {capacity} tokens, "

@@ -21,8 +21,8 @@ import numpy as np
 
 from repro import WorkloadGenerator, run_workload
 from repro.arepas import AREPAS
+from repro.fleet import FleetJob, FleetScheduler
 from repro.models import TrainConfig
-from repro.scope.cluster import ClusterQueue, QueuedJob
 from repro.tasq import ScoringPipeline, TasqConfig, TrainingPipeline
 
 
@@ -61,7 +61,7 @@ def main() -> None:
     for record, recommendation, arrival in zip(records, recommendations,
                                                arrivals):
         default_stream.append(
-            QueuedJob(
+            FleetJob.fixed(
                 job_id=record.job_id,
                 arrival_time=float(arrival),
                 tokens=record.requested_tokens,
@@ -70,7 +70,7 @@ def main() -> None:
         )
         tokens = recommendation.optimal_tokens
         tasq_stream.append(
-            QueuedJob(
+            FleetJob.fixed(
                 job_id=record.job_id,
                 arrival_time=float(arrival),
                 tokens=tokens,
@@ -80,12 +80,12 @@ def main() -> None:
 
     # The pool must fit the largest request; size it tightly at that.
     capacity = max(r.requested_tokens for r in records)
-    queue = ClusterQueue(capacity=capacity)
+    queue = FleetScheduler(capacity)
     default_report = queue.run(default_stream)
     tasq_report = queue.run(tasq_stream)
 
-    total_default = sum(j.tokens for j in default_stream)
-    total_tasq = sum(j.tokens for j in tasq_stream)
+    total_default = sum(r.requested_tokens for r in records)
+    total_tasq = sum(rec.optimal_tokens for rec in recommendations)
     print(f"\nCluster capacity: {capacity} tokens; "
           f"{len(records)} jobs over ~{arrivals[-1] / 60:.0f} minutes")
     print(f"Token requests: {total_default:,} (default) -> "

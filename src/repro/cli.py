@@ -44,12 +44,30 @@ from pathlib import Path
 
 from repro import obs
 from repro.arepas import error_summary, simulation_errors
+from repro.exceptions import ReproError
+from repro.fleet import (
+    ADMISSION_ORDERS,
+    POLICY_NAMES,
+    compare_policies,
+    score_usable,
+)
 from repro.flighting import FlightHarness, build_flighted_dataset
 from repro.models import TrainConfig, build_dataset
 from repro.models.gnn_model import GNNPCCModel
 from repro.models.nn_model import NNPCCModel
 from repro.models.xgboost_models import XGBoostPL
-from repro.scope import WorkloadGenerator, run_workload
+from repro.replay import (
+    ARRIVAL_KINDS,
+    REPLAY_POLICIES,
+    ArrivalSpec,
+    ReplayConfig,
+    ReplayEngine,
+    TenantSpec,
+    default_tenants,
+    load_trace,
+    split_round_robin,
+)
+from repro.scope import FAMILY_NAMES, WorkloadGenerator, run_workload
 from repro.scope.serialization import load_repository, save_repository
 from repro.serving import (
     AllocationServer,
@@ -103,6 +121,11 @@ _MODEL_BUILDERS = {
 }
 
 
+def _load_model(path: Path):
+    with open(path, "rb") as handle:
+        return pickle.load(handle)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     repository = load_repository(args.repo)
     dataset = build_dataset(
@@ -120,8 +143,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    with open(args.model, "rb") as handle:
-        model = pickle.load(handle)
+    model = _load_model(args.model)
     repository = load_repository(args.repo)
     records = repository.records()
     if args.job is not None:
@@ -191,8 +213,7 @@ def _cmd_flight(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    with open(args.model, "rb") as handle:
-        model = pickle.load(handle)
+    model = _load_model(args.model)
     repository = load_repository(args.repo)
     records = repository.records()[: args.limit]
 
@@ -266,8 +287,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.models.xgboost_models import XGBoostPL
-
     if args.tiny:
         # Smoke-test scale: small enough for CI, still exercises every
         # instrumented layer (generator, executor, fitting, scoring,
@@ -336,8 +355,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    from repro.fleet import POLICY_NAMES, compare_policies, score_usable
-
     repository = load_repository(args.repo)
     records = [
         r
@@ -350,8 +367,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 1
 
     if args.model is not None:
-        with open(args.model, "rb") as handle:
-            model = pickle.load(handle)
+        model = _load_model(args.model)
     else:
         print(
             f"no --model given: fitting XGBoostPL on {len(repository)} "
@@ -406,16 +422,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
-
-    from repro.replay import (
-        ArrivalSpec,
-        ReplayConfig,
-        ReplayEngine,
-        default_tenants,
-        load_trace,
-        split_round_robin,
-    )
-    from repro.replay.tenants import TenantSpec
 
     if args.arrival == "trace":
         if args.trace_file is None:
@@ -708,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--policy",
-        choices=["all", "water_filling", "knapsack", "deadline"],
+        choices=("all",) + POLICY_NAMES,
         default="all",
         help="global allocation policy to evaluate (default: all)",
     )
@@ -750,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--arrival",
-        choices=["poisson", "diurnal", "bursty", "trace"],
+        choices=ARRIVAL_KINDS,
         default="poisson",
         help="arrival process family (default: poisson)",
     )
@@ -765,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--family",
-        choices=["tpch", "streaming", "ml_training", "etl_skew"],
+        choices=FAMILY_NAMES,
         default=None,
         help="force every tenant onto one workload family",
     )
@@ -779,15 +785,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--policy",
-        choices=[
-            "default", "peak", "tasq",
-            "water_filling", "knapsack", "deadline",
-        ],
+        choices=REPLAY_POLICIES,
         default="water_filling",
         help="allocation regime (default: water_filling)",
     )
     replay.add_argument(
-        "--admission", choices=["fcfs", "backfill"], default="fcfs",
+        "--admission", choices=ADMISSION_ORDERS, default="fcfs",
         help="queue order: strict FCFS or EASY backfill",
     )
     replay.add_argument("--seed", type=int, default=0)
@@ -885,3 +888,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into e.g. `head`; exit quietly like other CLIs.
         return 0
+    except (ReproError, OSError, EOFError, pickle.UnpicklingError) as exc:
+        # Typed failures and unreadable inputs (a missing file, a
+        # truncated model pickle) end in a one-line message, not a
+        # traceback.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2

@@ -30,7 +30,7 @@ from repro.exceptions import FittingError, FleetError
 from repro.fleet.demand import JobDemand
 from repro.fleet.scheduler import FleetJob, FleetScheduler
 from repro.pcc.optimal import tokens_for_slowdown
-from repro.scope.cluster import ClusterQueue, QueuedJob, QueueReport
+from repro.scope.cluster import QueueReport
 from repro.scope.repository import TelemetryRecord
 from repro.tasq.pipeline import TokenRecommendation
 
@@ -213,7 +213,7 @@ def compare_policies(
 
     def baseline_stream(tokens_for):
         return [
-            QueuedJob(
+            FleetJob.fixed(
                 job_id=r.job_id,
                 arrival_time=float(t),
                 tokens=min(capacity, max(1, tokens_for(r))),
@@ -222,7 +222,7 @@ def compare_policies(
             for r, t in zip(records, arrivals)
         ]
 
-    queue = ClusterQueue(capacity=capacity)
+    queue = FleetScheduler(capacity)
     outcomes = [
         PolicyOutcome.from_report(
             "default",
@@ -237,7 +237,7 @@ def compare_policies(
     ]
 
     tasq_stream = [
-        QueuedJob(
+        FleetJob.fixed(
             job_id=r.job_id,
             arrival_time=float(t),
             tokens=min(capacity, rec.optimal_tokens),

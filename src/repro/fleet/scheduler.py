@@ -1,22 +1,23 @@
 """Admission scheduling with allocator-chosen token grants.
 
-:class:`FleetScheduler` extends the FCFS
-:class:`~repro.scope.cluster.ClusterQueue` in one fundamental way: jobs
-no longer arrive with a fixed token request. They arrive with a
-*demand* (predicted PCC plus grant bounds) and the
-:class:`~repro.fleet.allocator.GlobalAllocator` decides, at admission
-time, how many tokens each admitted job actually gets — squeezing
-grants when the pool is contended and spending spare tokens on faster
-run times when it is not.
+This is the repo's one FCFS event loop over a pool of guaranteed
+tokens. Jobs arrive with a *demand* (predicted PCC plus grant bounds)
+and the :class:`~repro.fleet.allocator.GlobalAllocator` decides, at
+admission time, how many tokens each admitted job actually gets —
+squeezing grants when the pool is contended and spending spare tokens on
+faster run times when it is not. A job whose bounds collapse to one
+value (:meth:`FleetJob.fixed`) is granted exactly its request, so plain
+FCFS admission of fixed requests — the Default/Peak/per-job-TASQ
+baselines and the §1 motivation study — runs through the same loop.
 
 Re-allocation: whenever a completion releases tokens, the freed budget
-is first offered to the queued jobs (FCFS, order-preserving, exactly
-like the base queue) and — with ``reallocate_running=True`` — any still
-idle tokens top up *running* jobs, shortening their remaining run time
-proportionally to their PCC's predicted speed-up.
+is first offered to the queued jobs (FCFS, order-preserving) and — with
+``reallocate_running=True`` — any still idle tokens top up *running*
+jobs, shortening their remaining run time proportionally to their PCC's
+predicted speed-up.
 
-Admission order: the default is the base queue's order-preserving FCFS
-prefix. ``admission="backfill"`` adds EASY backfilling — when the
+Admission order: the default is an order-preserving FCFS prefix.
+``admission="backfill"`` adds EASY backfilling — when the
 head-of-line job is blocked, later jobs may start at their *floor*
 grant provided they cannot delay the head's earliest possible start
 (they either finish, by their own PCC's estimate, before the head's
@@ -44,7 +45,8 @@ from repro.exceptions import ExecutionError, FleetError
 from repro.fleet.allocator import AllocationPolicy, GlobalAllocator
 from repro.fleet.demand import JobDemand
 from repro.obs import trace
-from repro.scope.cluster import ClusterQueue, QueueOutcome, QueueReport
+from repro.pcc.curve import PowerLawPCC
+from repro.scope.cluster import QueueOutcome, QueueReport
 
 __all__ = [
     "FleetJob",
@@ -75,6 +77,31 @@ class FleetJob:
     def __post_init__(self) -> None:
         if self.arrival_time < 0:
             raise ExecutionError("arrival times must be non-negative")
+
+    @classmethod
+    def fixed(
+        cls, job_id: str, arrival_time: float, tokens: int, runtime: float
+    ) -> "FleetJob":
+        """A job that holds exactly ``tokens`` for exactly ``runtime``.
+
+        Both grant bounds are ``tokens`` and the PCC is flat at
+        ``runtime``, so every policy grants the request unchanged and
+        re-allocation never tops the job up.
+        """
+        if tokens < 1:
+            raise ExecutionError("queued jobs need at least one token")
+        if runtime <= 0:
+            raise ExecutionError("queued jobs need a positive run time")
+        return cls(
+            job_id=job_id,
+            arrival_time=arrival_time,
+            demand=JobDemand(
+                job_id=job_id,
+                pcc=PowerLawPCC(a=0.0, b=runtime),
+                min_tokens=tokens,
+                max_tokens=tokens,
+            ),
+        )
 
     def runtime_at(self, tokens: int) -> float:
         runtime = (
@@ -436,14 +463,13 @@ class FleetStream:
         return regranted
 
 
-class FleetScheduler(ClusterQueue):
+class FleetScheduler:
     """FCFS admission where the *allocator* chooses every grant.
 
     Parameters
     ----------
     capacity:
-        Cluster-wide guaranteed-token pool (same semantics as the base
-        queue).
+        Cluster-wide guaranteed-token pool, in tokens (not job slots).
     policy:
         Allocation policy instance or registry name; used to build the
         internal :class:`GlobalAllocator` unless ``allocator`` is given.
@@ -464,12 +490,14 @@ class FleetScheduler(ClusterQueue):
         reallocate_running: bool = False,
         admission: str = "fcfs",
     ) -> None:
-        super().__init__(capacity)
+        if capacity < 1:
+            raise ExecutionError("cluster capacity must be positive")
         if admission not in ADMISSION_ORDERS:
             raise FleetError(
                 f"unknown admission order {admission!r}; "
                 f"known: {', '.join(ADMISSION_ORDERS)}"
             )
+        self.capacity = capacity
         self.allocator = allocator or GlobalAllocator(capacity, policy)
         self.reallocate_running = reallocate_running
         self.admission = admission
@@ -478,17 +506,8 @@ class FleetScheduler(ClusterQueue):
         """Open an incremental simulation over this scheduler's pool."""
         return FleetStream(self)
 
-    def run(self, jobs: list[FleetJob]) -> FleetReport:  # type: ignore[override]
+    def run(self, jobs: list[FleetJob]) -> FleetReport:
         """Simulate the stream with allocator-chosen grants."""
-        if not jobs:
-            raise ExecutionError("no jobs submitted")
-        for job in jobs:
-            if job.demand.min_tokens > self.capacity:
-                raise ExecutionError(
-                    f"job {job.job_id} needs at least "
-                    f"{job.demand.min_tokens} tokens but the cluster only "
-                    f"has {self.capacity}"
-                )
         with trace.span(
             "fleet.schedule", jobs=len(jobs),
             policy=self.allocator.policy.name,

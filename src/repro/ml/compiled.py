@@ -42,19 +42,17 @@ Compilation is **lazy** (first predict) and **invalidated on refit** —
 own cache, so ``ModelStore.latest()`` / ``AllocationServer.
 refresh_model()`` keep working unchanged.
 
-Escape hatches, strongest first:
+Kernels are on by default. There are two ways to turn them off:
 
-* ``REPRO_COMPILED=0`` in the environment disables the kernels
-  process-wide;
-* :func:`set_enabled` flips the process default at runtime;
-* :func:`override` is a thread-local context manager (used by
-  ``ScoringPipeline(use_compiled=False)`` and the differential tests);
-* every routed model also takes ``use_compiled=False``.
+* :func:`override` is a thread-local context manager; the differential
+  tests use it directly;
+* a :class:`~repro.tasq.pipeline.ScoringPipeline` built with compiled
+  inference off runs every one of its predictions under
+  ``override(False)``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -65,7 +63,6 @@ from repro.exceptions import ModelError
 
 __all__ = [
     "is_enabled",
-    "set_enabled",
     "override",
     "FlattenedForest",
     "FusedMLP",
@@ -76,22 +73,13 @@ __all__ = [
 # ----------------------------------------------------------------------
 # enable/disable plumbing
 # ----------------------------------------------------------------------
-_process_enabled = os.environ.get("REPRO_COMPILED", "1") != "0"
 _local = threading.local()
 
 
 def is_enabled() -> bool:
     """Are compiled kernels active on this thread right now?"""
     stack = getattr(_local, "stack", None)
-    if stack:
-        return stack[-1]
-    return _process_enabled
-
-
-def set_enabled(enabled: bool) -> None:
-    """Flip the process-wide default (thread overrides still win)."""
-    global _process_enabled
-    _process_enabled = bool(enabled)
+    return stack[-1] if stack else True
 
 
 @contextmanager
@@ -99,9 +87,10 @@ def override(enabled: bool) -> Iterator[None]:
     """Thread-locally force compiled kernels on or off.
 
     The reference implementations stay in place behind this switch, so
-    differential tests (and the ``use_compiled=False`` escape hatch on
-    :class:`~repro.tasq.pipeline.ScoringPipeline`) can replay the exact
-    pre-kernel semantics without rebuilding any model.
+    differential tests (and a
+    :class:`~repro.tasq.pipeline.ScoringPipeline` built with compiled
+    inference off) can replay the exact pre-kernel semantics without
+    rebuilding any model.
     """
     stack = getattr(_local, "stack", None)
     if stack is None:

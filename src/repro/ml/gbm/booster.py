@@ -59,7 +59,6 @@ class GradientBoostingRegressor:
         params: BoosterParams | None = None,
         objective: str | Objective = "gamma",
         seed: int = 0,
-        use_compiled: bool = True,
     ) -> None:
         self.params = params or BoosterParams()
         if isinstance(objective, Objective):
@@ -76,10 +75,9 @@ class GradientBoostingRegressor:
         self._trees: list[RegressionTree] = []
         self._mapper: BinMapper | None = None
         self._base_score = 0.0
-        #: Route inference through the flattened branchless kernel
-        #: (bit-identical to the reference traversal); flip to False —
-        #: or use ``repro.ml.compiled.override(False)`` — to fall back.
-        self.use_compiled = use_compiled
+        #: Flattened branchless kernel that inference routes through
+        #: (bit-identical to the reference traversal); built on first
+        #: predict, dropped on refit.
         self._compiled: FlattenedForest | None = None
         self.train_scores_: list[float] = []
         self.valid_scores_: list[float] = []
@@ -194,7 +192,7 @@ class GradientBoostingRegressor:
             raise NotFittedError("booster used before fit")
         features = np.asarray(features, dtype=float)
         binned = self._mapper.transform(features)
-        if self.use_compiled and compiled_kernels.is_enabled():
+        if compiled_kernels.is_enabled():
             return self.compiled_forest().predict_raw(binned, self._base_score)
         return self._predict_raw_binned_reference(binned)
 

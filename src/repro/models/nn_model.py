@@ -48,6 +48,9 @@ class NNPCCModel(PCCPredictor):
 
     name = "NN"
     guarantees_monotonic = True
+    #: Cleared for good when the fuser rejects the network; inference
+    #: then stays on the autograd stack.
+    _fusable = True
 
     def __init__(
         self,
@@ -56,7 +59,6 @@ class NNPCCModel(PCCPredictor):
         train_config: TrainConfig | None = None,
         xgb_model: PCCPredictor | None = None,
         seed: int = 0,
-        use_compiled: bool = True,
         ensemble_size: int = 1,
     ) -> None:
         super().__init__()
@@ -72,11 +74,9 @@ class NNPCCModel(PCCPredictor):
         self._scaler = StandardScaler()
         self._target_scaler = TargetScaler()
         self._network: Sequential | None = None
-        #: Route inference through the fused float32 forward pass
+        #: Fused float32 forward pass that inference routes through
         #: (:class:`~repro.ml.compiled.FusedMLP`); results agree with the
-        #: autograd reference to float32 round-off. Flip to False — or
-        #: use ``repro.ml.compiled.override(False)`` — to fall back.
-        self.use_compiled = use_compiled
+        #: autograd reference to float32 round-off.
         self._compiled: FusedMLP | None = None
         self.ensemble_size = ensemble_size
         self._members: list[Sequential] = []
@@ -165,13 +165,13 @@ class NNPCCModel(PCCPredictor):
         self._check_fitted()
         assert self._network is not None
         features = self._scaler.transform(dataset.job_feature_matrix())
-        if self.use_compiled and compiled_kernels.is_enabled():
+        if self._fusable and compiled_kernels.is_enabled():
             try:
                 return self.fused_network().predict(features)
             except ModelError:
                 # Network contains modules the fuser does not understand
                 # (e.g. a subclass override): stay on autograd for good.
-                self.use_compiled = False
+                self._fusable = False
         return self._network(Tensor(features)).numpy()
 
     def predict_parameters_reference(self, dataset: PCCDataset) -> np.ndarray:

@@ -78,7 +78,6 @@ class XGBoostRuntimeModel(PCCPredictor):
         self,
         booster_params: BoosterParams | None = None,
         seed: int = 0,
-        use_compiled: bool = True,
         quantile_heads: bool = False,
         quantiles: tuple[float, float] = (0.1, 0.9),
         quantile_params: BoosterParams | None = None,
@@ -89,11 +88,6 @@ class XGBoostRuntimeModel(PCCPredictor):
         )
         self.quantile_params = quantile_params or QUANTILE_HEAD_PARAMS
         self._seed = seed
-        #: Route curve evaluation through one batched booster call (and
-        #: the booster through the flattened kernel); bit-identical to
-        #: the per-example loop. ``repro.ml.compiled.override(False)``
-        #: or ``use_compiled=False`` restore the reference path.
-        self.use_compiled = use_compiled
         if len(quantiles) != 2 or not 0 < quantiles[0] < 0.5 < quantiles[1] < 1:
             raise ModelError(
                 "quantiles must be a (lo, hi) pair straddling the median"
@@ -109,7 +103,6 @@ class XGBoostRuntimeModel(PCCPredictor):
             self.booster_params,
             objective="gamma",
             seed=self._seed,
-            use_compiled=self.use_compiled,
         )
         self._booster.fit(rows, targets)
         self._quantile_boosters = {}
@@ -121,7 +114,6 @@ class XGBoostRuntimeModel(PCCPredictor):
                     self.quantile_params,
                     objective=PinballLoss(quantile),
                     seed=self._seed + 101 + offset,
-                    use_compiled=self.use_compiled,
                 )
                 booster.fit(rows, targets)
                 self._quantile_boosters[quantile] = booster
@@ -177,7 +169,7 @@ class XGBoostRuntimeModel(PCCPredictor):
         self._check_fitted()
         assert booster is not None
         features = dataset.job_feature_matrix()
-        if self.use_compiled and compiled_kernels.is_enabled():
+        if compiled_kernels.is_enabled():
             return self._predict_curves_batched(features, grids, booster)
         curves = []
         for feature_row, grid in zip(features, grids):
@@ -238,14 +230,12 @@ class XGBoostSS(XGBoostRuntimeModel):
         booster_params: BoosterParams | None = None,
         smoothing: float = 0.05,
         seed: int = 0,
-        use_compiled: bool = True,
         quantile_heads: bool = False,
         quantiles: tuple[float, float] = (0.1, 0.9),
         quantile_params: BoosterParams | None = None,
     ) -> None:
         super().__init__(
-            booster_params, seed, use_compiled, quantile_heads, quantiles,
-            quantile_params,
+            booster_params, seed, quantile_heads, quantiles, quantile_params
         )
         if smoothing < 0:
             raise ModelError("smoothing must be non-negative")
@@ -284,14 +274,12 @@ class XGBoostPL(XGBoostRuntimeModel):
         window_points: int = 9,
         window_spread: float = 0.4,
         seed: int = 0,
-        use_compiled: bool = True,
         quantile_heads: bool = False,
         quantiles: tuple[float, float] = (0.1, 0.9),
         quantile_params: BoosterParams | None = None,
     ) -> None:
         super().__init__(
-            booster_params, seed, use_compiled, quantile_heads, quantiles,
-            quantile_params,
+            booster_params, seed, quantile_heads, quantiles, quantile_params
         )
         self.window_points = window_points
         self.window_spread = window_spread

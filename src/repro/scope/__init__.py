@@ -1,6 +1,6 @@
 """SCOPE-like substrate: operators, plans, workload generation, execution."""
 
-from repro.scope.cluster import ClusterQueue, QueuedJob, QueueOutcome, QueueReport
+from repro.scope.cluster import QueueOutcome, QueueReport
 from repro.scope.execution import ClusterExecutor, ExecutionResult
 from repro.scope.generator import (
     FAMILY_NAMES,
@@ -61,8 +61,6 @@ __all__ = [
     "plan_signature",
     "plan_content_signature",
     "skyline_signature",
-    "ClusterQueue",
-    "QueuedJob",
     "QueueOutcome",
     "QueueReport",
 ]

@@ -1,63 +1,36 @@
-"""Cluster-level admission queue simulation.
+"""Per-job outcomes and aggregate statistics of a queueing study.
 
-The paper's introduction motivates aggressive allocation with a
-cluster-level argument: "Utilizing fewer tokens reduces job wait time and
-improves the overall resource availability for other jobs in the
-cluster". This module makes that claim measurable: a fixed-capacity token
-pool admits jobs FCFS — a job starts only when its *requested* tokens are
-free (SCOPE allocates guaranteed tokens up front) and holds them for its
-whole run time.
+The paper's introduction argues that "utilizing fewer tokens reduces job
+wait time and improves the overall resource availability for other jobs
+in the cluster". The repo measures that claim with one event loop,
+:class:`repro.fleet.scheduler.FleetStream`, which admits jobs FCFS into a
+fixed pool of guaranteed tokens. A fixed request (the user default, the
+observed peak, a per-job TASQ recommendation) enters it as
+:meth:`FleetJob.fixed <repro.fleet.scheduler.FleetJob.fixed>`, whose
+grant bounds collapse to the request.
 
-Feeding the same job stream through the queue under different allocation
-policies (user defaults versus TASQ recommendations) quantifies the
-queueing benefit of right-sizing.
+The motivation benchmark, the fleet evaluation and the replay engine all
+summarize their runs with the two types defined here.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import ExecutionError
-
-__all__ = ["QueuedJob", "QueueOutcome", "QueueReport", "ClusterQueue"]
-
-
-@dataclass(frozen=True)
-class QueuedJob:
-    """One job submitted to the cluster queue.
-
-    ``runtime`` is the job's run time *at the granted allocation* —
-    callers evaluate their allocation policy (e.g. via a PCC or AREPAS)
-    before submission.
-    """
-
-    job_id: str
-    arrival_time: float
-    tokens: int
-    runtime: float
-
-    def __post_init__(self) -> None:
-        if self.tokens < 1:
-            raise ExecutionError("queued jobs need at least one token")
-        if self.runtime <= 0:
-            raise ExecutionError("queued jobs need a positive run time")
-        if self.arrival_time < 0:
-            raise ExecutionError("arrival times must be non-negative")
+__all__ = ["QueueOutcome", "QueueReport"]
 
 
 @dataclass(frozen=True)
 class QueueOutcome:
     """When one job started and finished, and what it was granted.
 
-    ``tokens`` is the job's granted allocation — for the plain FCFS queue
-    that is simply the requested size, but schedulers that choose grants
-    themselves (``repro.fleet``) record the allocator's final decision
-    here. ``token_seconds`` defaults to ``tokens`` held for the whole
-    run; schedulers whose grants change mid-run pass the exactly
-    integrated holdings instead.
+    ``tokens`` is the job's final grant: the request itself for a
+    fixed-grant job, otherwise the allocator's last decision.
+    ``token_seconds`` defaults to ``tokens`` held for the whole run;
+    schedulers whose grants change mid-run pass the exactly integrated
+    holdings instead.
     """
 
     job_id: str
@@ -163,64 +136,3 @@ class QueueReport:
         """Fraction of the pool's token-seconds actually held by jobs."""
         return self.total_token_seconds / (self.capacity * self.makespan)
 
-
-class ClusterQueue:
-    """FCFS admission over a fixed pool of guaranteed tokens.
-
-    Jobs are admitted strictly in arrival order (no backfilling — SCOPE's
-    guaranteed-token queue is order-preserving); a job waits until the
-    pool has its full request free.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ExecutionError("cluster capacity must be positive")
-        self.capacity = capacity
-
-    def run(self, jobs: list[QueuedJob]) -> QueueReport:
-        """Simulate the stream and return per-job outcomes."""
-        if not jobs:
-            raise ExecutionError("no jobs submitted")
-        oversized = [j for j in jobs if j.tokens > self.capacity]
-        if oversized:
-            raise ExecutionError(
-                f"job {oversized[0].job_id} requests {oversized[0].tokens} "
-                f"tokens but the cluster only has {self.capacity}"
-            )
-
-        pending = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
-        free = self.capacity
-        clock = 0.0
-        # Min-heap of (finish_time, tokens) for running jobs.
-        running: list[tuple[float, int]] = []
-        outcomes = []
-
-        for job in pending:
-            clock = max(clock, job.arrival_time)
-            # Release everything finished by the current clock, then keep
-            # releasing (advancing the clock) until the job fits.
-            while True:
-                while running and running[0][0] <= clock:
-                    _, tokens = heapq.heappop(running)
-                    free += tokens
-                if free >= job.tokens:
-                    break
-                if not running:
-                    raise ExecutionError(
-                        "deadlock: insufficient capacity with no running jobs"
-                    )
-                clock = max(clock, running[0][0])
-            start = clock
-            finish = start + job.runtime
-            free -= job.tokens
-            heapq.heappush(running, (finish, job.tokens))
-            outcomes.append(
-                QueueOutcome(
-                    job_id=job.job_id,
-                    arrival_time=job.arrival_time,
-                    start_time=start,
-                    finish_time=finish,
-                    tokens=job.tokens,
-                )
-            )
-        return QueueReport(outcomes=tuple(outcomes), capacity=self.capacity)

@@ -1,14 +1,19 @@
-"""Unit tests for the cluster admission queue."""
+"""Unit tests for FCFS admission of fixed-grant jobs.
+
+A :meth:`FleetJob.fixed` job holds exactly its request, so these pin
+the plain FCFS queue semantics of :class:`FleetScheduler` that the
+motivation benchmark and the Default/Peak/TASQ baselines rely on.
+"""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ExecutionError
-from repro.scope.cluster import ClusterQueue, QueuedJob
+from repro.fleet import FleetJob, FleetScheduler
 
 
 def _job(job_id, arrival, tokens, runtime):
-    return QueuedJob(
+    return FleetJob.fixed(
         job_id=job_id, arrival_time=arrival, tokens=tokens, runtime=runtime
     )
 
@@ -25,7 +30,7 @@ class TestQueuedJob:
 
 class TestClusterQueue:
     def test_no_contention_no_wait(self):
-        queue = ClusterQueue(capacity=100)
+        queue = FleetScheduler(capacity=100)
         report = queue.run(
             [_job("a", 0, 30, 10), _job("b", 0, 30, 10), _job("c", 0, 30, 10)]
         )
@@ -33,7 +38,7 @@ class TestClusterQueue:
         assert report.makespan == 10.0
 
     def test_contention_serialises(self):
-        queue = ClusterQueue(capacity=50)
+        queue = FleetScheduler(capacity=50)
         report = queue.run([_job("a", 0, 50, 10), _job("b", 0, 50, 10)])
         waits = {o.job_id: o.wait_time for o in report.outcomes}
         assert waits["a"] == 0.0
@@ -41,7 +46,7 @@ class TestClusterQueue:
         assert report.makespan == 20.0
 
     def test_partial_overlap(self):
-        queue = ClusterQueue(capacity=100)
+        queue = FleetScheduler(capacity=100)
         report = queue.run(
             [_job("a", 0, 60, 10), _job("b", 0, 60, 10), _job("c", 0, 40, 10)]
         )
@@ -53,7 +58,7 @@ class TestClusterQueue:
         assert by_id["c"].start_time == 10.0
 
     def test_arrivals_respected(self):
-        queue = ClusterQueue(capacity=10)
+        queue = FleetScheduler(capacity=10)
         report = queue.run([_job("a", 5.0, 10, 2)])
         assert report.outcomes[0].start_time == 5.0
         assert report.outcomes[0].wait_time == 0.0
@@ -63,23 +68,23 @@ class TestClusterQueue:
         arrivals = [(f"j{i}", float(i), 5.0) for i in range(20)]
         fat = [_job(j, t, 50, d) for j, t, d in arrivals]
         slim = [_job(j, t, 25, d * 1.1) for j, t, d in arrivals]  # 10% slower
-        queue = ClusterQueue(capacity=100)
+        queue = FleetScheduler(capacity=100)
         assert queue.run(slim).mean_wait < queue.run(fat).mean_wait
 
     def test_rejects_oversized_job(self):
         with pytest.raises(ExecutionError):
-            ClusterQueue(capacity=10).run([_job("a", 0, 11, 5)])
+            FleetScheduler(capacity=10).run([_job("a", 0, 11, 5)])
 
     def test_rejects_empty_stream(self):
         with pytest.raises(ExecutionError):
-            ClusterQueue(capacity=10).run([])
+            FleetScheduler(capacity=10).run([])
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ExecutionError):
-            ClusterQueue(capacity=0)
+            FleetScheduler(capacity=0)
 
     def test_report_statistics(self):
-        queue = ClusterQueue(capacity=10)
+        queue = FleetScheduler(capacity=10)
         report = queue.run(
             [_job("a", 0, 10, 4), _job("b", 0, 10, 4), _job("c", 0, 10, 4)]
         )
@@ -97,10 +102,11 @@ class TestClusterQueue:
                  int(rng.integers(1, 40)), float(rng.uniform(1, 30)))
             for i in range(40)
         ]
-        queue = ClusterQueue(capacity=40)
+        queue = FleetScheduler(capacity=40)
         report = queue.run(jobs)
         used = sum(
-            j.tokens * j.runtime for j in jobs
+            j.demand.min_tokens * j.runtime_at(j.demand.min_tokens)
+            for j in jobs
         )
         assert used <= queue.capacity * report.makespan + 1e-6
         # Starts never precede arrivals, finishes follow starts.
@@ -118,7 +124,7 @@ class TestReportPercentiles:
     def report(self):
         # Serial pool: waits 0/4/8/12, runtimes all 4 → turnarounds
         # 4/8/12/16 and slowdowns 1/2/3/4.
-        return ClusterQueue(capacity=10).run(
+        return FleetScheduler(capacity=10).run(
             [_job(f"j{i}", 0, 10, 4) for i in range(4)]
         )
 
@@ -146,7 +152,7 @@ class TestReportPercentiles:
         )
 
     def test_immediate_job_has_unit_slowdown(self):
-        report = ClusterQueue(capacity=10).run([_job("solo", 0, 10, 5)])
+        report = FleetScheduler(capacity=10).run([_job("solo", 0, 10, 5)])
         assert report.p50_slowdown == 1.0
         assert report.p95_slowdown == 1.0
         assert report.p95_wait == 0.0

@@ -6,8 +6,8 @@ The contract under test (see ``repro.ml.compiled``):
   traversal — asserted with ``np.array_equal``, never ``allclose``;
 * the fused float32 MLP matches the float64 autograd stack to float32
   round-off, and preserves the PCC head's sign guarantee exactly;
-* the escape hatches (``override``, ``set_enabled``, ``use_compiled``)
-  really do route back to the reference implementations;
+* the ``override`` escape hatch really does route back to the
+  reference implementations;
 * refitting a model drops its lazily compiled kernel.
 """
 
@@ -271,25 +271,19 @@ class TestRoutingAndEscapeHatches:
             assert seen == [True]  # override does not leak across threads
         assert compiled.is_enabled()
 
-    def test_set_enabled_flips_process_default(self):
-        try:
-            compiled.set_enabled(False)
-            assert not compiled.is_enabled()
-            with compiled.override(True):
-                assert compiled.is_enabled()
-        finally:
-            compiled.set_enabled(True)
-        assert compiled.is_enabled()
-
-    def test_use_compiled_false_routes_to_reference(self):
+    def test_override_false_routes_to_reference(self):
         features, targets = _training_data(seed=4)
         params = BoosterParams(n_estimators=10, max_depth=3)
-        model = GradientBoostingRegressor(
-            params, seed=5, use_compiled=False
-        ).fit(features, targets)
+        model = GradientBoostingRegressor(params, seed=5).fit(
+            features, targets
+        )
         assert model._compiled is None
-        model.predict(features[:8])
+        with compiled.override(False):
+            predicted = model.predict(features[:8])
         assert model._compiled is None  # never compiled
+        assert np.array_equal(
+            predicted, model.predict_reference(features[:8])
+        )
 
     def test_refit_invalidates_compiled_forest(self, fitted_booster):
         features, targets = _training_data(seed=6)

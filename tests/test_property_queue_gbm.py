@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fleet import FleetJob, FleetScheduler
 from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
-from repro.scope.cluster import ClusterQueue, QueuedJob
 
 job_streams = st.lists(
     st.tuples(
@@ -20,7 +20,7 @@ job_streams = st.lists(
 
 def _make_jobs(raw):
     return [
-        QueuedJob(job_id=f"j{i}", arrival_time=a, tokens=t, runtime=r)
+        FleetJob.fixed(job_id=f"j{i}", arrival_time=a, tokens=t, runtime=r)
         for i, (a, t, r) in enumerate(raw)
     ]
 
@@ -30,13 +30,13 @@ class TestQueueProperties:
     @settings(max_examples=60)
     def test_fcfs_invariants(self, raw):
         jobs = _make_jobs(raw)
-        report = ClusterQueue(capacity=20).run(jobs)
+        report = FleetScheduler(capacity=20).run(jobs)
         outcomes = {o.job_id: o for o in report.outcomes}
-        for job in jobs:
+        for job, (_, _, runtime) in zip(jobs, raw):
             outcome = outcomes[job.job_id]
             # No job starts before arriving, and runs exactly its runtime.
             assert outcome.start_time >= job.arrival_time - 1e-9
-            assert outcome.finish_time == outcome.start_time + job.runtime
+            assert outcome.finish_time == outcome.start_time + runtime
             assert outcome.wait_time >= -1e-9
 
     @given(job_streams)
@@ -44,13 +44,13 @@ class TestQueueProperties:
     def test_capacity_never_exceeded(self, raw):
         jobs = _make_jobs(raw)
         capacity = 20
-        report = ClusterQueue(capacity=capacity).run(jobs)
+        report = FleetScheduler(capacity=capacity).run(jobs)
         outcomes = {o.job_id: o for o in report.outcomes}
         # Check concurrent token usage at every start instant.
         for probe in report.outcomes:
             t = probe.start_time
             used = sum(
-                job.tokens
+                job.demand.min_tokens
                 for job in jobs
                 if outcomes[job.job_id].start_time <= t
                 < outcomes[job.job_id].finish_time
@@ -61,8 +61,8 @@ class TestQueueProperties:
     @settings(max_examples=40)
     def test_more_capacity_never_hurts(self, raw):
         jobs = _make_jobs(raw)
-        small = ClusterQueue(capacity=20).run(jobs)
-        large = ClusterQueue(capacity=40).run(jobs)
+        small = FleetScheduler(capacity=20).run(jobs)
+        large = FleetScheduler(capacity=40).run(jobs)
         assert large.mean_wait <= small.mean_wait + 1e-9
         assert large.makespan <= small.makespan + 1e-9
 
@@ -71,7 +71,7 @@ class TestQueueProperties:
     def test_fcfs_order_preserved(self, raw):
         """Start times follow arrival order (no backfilling)."""
         jobs = _make_jobs(raw)
-        report = ClusterQueue(capacity=20).run(jobs)
+        report = FleetScheduler(capacity=20).run(jobs)
         ordered = sorted(
             report.outcomes, key=lambda o: (o.arrival_time, o.job_id)
         )

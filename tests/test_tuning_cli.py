@@ -1,6 +1,10 @@
 """Unit tests for loss-weight tuning and the command-line interface."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +143,69 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "AREPAS error" in out
+
+
+class TestCleanExits:
+    """Typed failures and unreadable inputs exit 2 with one stderr line."""
+
+    def fails_cleanly(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert "Traceback" not in err
+
+    def test_missing_repository(self, tmp_path, capsys):
+        self.fails_cleanly(
+            capsys, ["stats", "--repo", str(tmp_path / "missing.npz")]
+        )
+
+    def test_missing_model(self, tmp_path, capsys):
+        self.fails_cleanly(
+            capsys,
+            [
+                "score", "--model", str(tmp_path / "missing.pkl"),
+                "--repo", str(tmp_path / "missing.npz"),
+            ],
+        )
+
+    def test_truncated_model_pickle(self, tmp_path, capsys):
+        payload = pickle.dumps(NNPCCModel(hidden_sizes=(4,)))
+        model_path = tmp_path / "model.pkl"
+        model_path.write_bytes(payload[: len(payload) // 2])
+        self.fails_cleanly(
+            capsys,
+            [
+                "score", "--model", str(model_path),
+                "--repo", str(tmp_path / "missing.npz"),
+            ],
+        )
+
+    def test_malformed_trace_file(self, tmp_path, capsys):
+        trace = tmp_path / "arrivals.txt"
+        trace.write_text("0.0\n12.5\nsoon\n")
+        self.fails_cleanly(
+            capsys,
+            ["replay", "--arrival", "trace", "--trace-file", str(trace)],
+        )
+
+    def test_process_exit_code(self, tmp_path):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "stats",
+                "--repo", str(tmp_path / "missing.npz"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("repro stats: ")
