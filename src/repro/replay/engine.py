@@ -229,7 +229,6 @@ class ReplayEngine:
                 ServerConfig(
                     workers=1,
                     max_batch_size=1,
-                    max_batch_wait_s=0.0,
                     breaker_failure_threshold=10**9,
                 ),
                 store=store,

@@ -20,15 +20,20 @@ in-process concurrent system:
   rate limit sheds over-rate traffic before it costs anything, and a
   full queue rejects with explicit backpressure instead of unbounded
   latency.
-* **micro-batching** — workers coalesce whatever is queued (up to
-  ``max_batch_size``, waiting at most ``max_batch_wait_s``) into one
-  :meth:`~repro.tasq.pipeline.ScoringPipeline.score_batch` call,
-  trading a bounded latency bump for vectorised model throughput.
+* **micro-batching** — work-conserving: a worker that takes a request
+  adds whatever is already queued (up to ``max_batch_size``, without
+  waiting) and scores at once in one
+  :meth:`~repro.tasq.pipeline.ScoringPipeline.score_batch` call. A lone
+  request never waits for a batch-mate; under load the queue backlog
+  fills batches and buys vectorised model throughput.
 * **caching** (`repro.serving.cache`) — recommendation hits bypass the
   queue entirely; feature hits skip the expensive featurization step.
 * **failure containment** — scoring failures trip a circuit breaker;
   while it is open (and for deadline-expired or failed requests) the
-  configured fallback policy answers instead of raising.
+  configured fallback policy answers instead of raising. Any other
+  exception from a batch is caught at the worker loop, answered as a
+  ``model_error`` fallback and counted in ``worker_errors``; the worker
+  keeps running.
 * **feedback** — completed-job outcomes flow into a
   :class:`~repro.tasq.monitoring.PredictionMonitor` whose rolling error
   and retraining signal are exported in the metrics snapshot.
@@ -49,6 +54,7 @@ import enum
 import queue as queue_module
 import threading
 import time
+import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -93,8 +99,6 @@ class ServerConfig:
     max_queue: int = 128
     #: Largest micro-batch handed to one ``score_batch`` call.
     max_batch_size: int = 8
-    #: How long a worker waits to grow a batch beyond its first request.
-    max_batch_wait_s: float = 0.002
     #: Per-request deadline (submit → scored); expired requests get the
     #: fallback answer. ``None`` disables deadlines.
     deadline_s: float | None = None
@@ -121,8 +125,6 @@ class ServerConfig:
             raise ServingError("queue bound must be at least 1")
         if self.max_batch_size < 1:
             raise ServingError("max batch size must be at least 1")
-        if self.max_batch_wait_s < 0:
-            raise ServingError("batch wait must be non-negative")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ServingError("deadline must be positive when set")
         if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
@@ -444,18 +446,32 @@ class AllocationServer:
             except queue_module.Empty:
                 self._maybe_refresh_model()
                 continue
+            # Work-conserving: take only what is already queued. Holding a
+            # lone request for a batch-mate adds idle wait to its latency;
+            # under load the backlog fills the batch by itself.
             batch = [first]
-            batch_deadline = self._clock() + self.config.max_batch_wait_s
             while len(batch) < self.config.max_batch_size:
-                remaining = batch_deadline - self._clock()
-                if remaining <= 0:
-                    break
                 try:
-                    batch.append(self._queue.get(timeout=remaining))
+                    batch.append(self._queue.get_nowait())
                 except queue_module.Empty:
                     break
             self._maybe_refresh_model()
-            self._process_batch(batch)
+            try:
+                self._process_batch(batch)
+            except Exception:
+                # A worker that dies leaves every later request waiting
+                # in the queue, so no failure of one batch may end it.
+                self._contain_worker_error(batch)
+
+    def _contain_worker_error(self, batch: list[_Pending]) -> None:
+        """Answer the unresolved requests of a batch whose processing raised."""
+        self.metrics.counter("worker_errors").increment()
+        traceback.print_exc()
+        self.breaker.record_failure()
+        for pending in batch:
+            if not pending.future.done():
+                self.metrics.counter("fallback_model_error").increment()
+                self._fallback(pending, "model_error")
 
     def _process_batch(self, batch: list[_Pending]) -> None:
         with trace.span("serving.process_batch", batch=len(batch)):

@@ -102,7 +102,9 @@ class TestClosedLoop:
             warm = loadgen.run(server)
         assert warm.cache_hit_rate > cold.cache_hit_rate
         assert warm.cache_hit_rate == pytest.approx(1.0)
-        assert warm.latency_p50_s <= cold.latency_p50_s
+        # Most cold requests already hit the cache, so both p50s are hits;
+        # the cold p95 falls on a miss and the warm one on a hit.
+        assert warm.latency_p95_s <= cold.latency_p95_s
 
     def test_all_requests_answered(self, workload_jobs):
         config = LoadgenConfig(requests=100, clients=4, seed=0)

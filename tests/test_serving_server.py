@@ -170,9 +170,7 @@ class TestScoringPaths:
         """N requests queued behind a busy worker → one score_batch call."""
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
-        config = ServerConfig(
-            workers=1, max_batch_size=8, max_batch_wait_s=0.05
-        )
+        config = ServerConfig(workers=1, max_batch_size=8)
         with AllocationServer(pipeline, config) as server:
             blocker = server.submit(plans[0], 10)
             assert wait_until(lambda: len(pipeline.calls) == 1)
@@ -185,9 +183,7 @@ class TestScoringPaths:
     def test_batch_respects_max_size(self, plans):
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
-        config = ServerConfig(
-            workers=1, max_batch_size=3, max_batch_wait_s=0.05, max_queue=32
-        )
+        config = ServerConfig(workers=1, max_batch_size=3, max_queue=32)
         with AllocationServer(pipeline, config) as server:
             blocker = server.submit(plans[0], 10)
             assert wait_until(lambda: len(pipeline.calls) == 1)
@@ -197,6 +193,19 @@ class TestScoringPaths:
                 f.result(timeout=5.0)
         assert max(pipeline.calls) <= 3
         assert pipeline.calls[1] == 3  # first drain takes a full batch
+
+    def test_lone_request_is_scored_without_waiting(self, plans):
+        """Requests sent one at a time are each scored at once, alone."""
+        pipeline = StubPipeline()
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
+            # distinct requested tokens keep every request a cache miss
+            responses = [
+                server.request(plans[i], 10 + i, timeout=5.0)
+                for i in range(24)
+            ]
+        assert all(r.status is ResponseStatus.OK for r in responses)
+        assert pipeline.calls == [1] * 24
+        assert float(np.median([r.latency_s for r in responses])) < 0.002
 
     def test_works_with_real_scoring_pipeline(self, plans):
         pipeline = ScoringPipeline(StubPredictor())
@@ -317,7 +326,7 @@ class TestFailureContainment:
                 ]
 
         blocker_pipeline = PoisonedPipeline()
-        config = ServerConfig(workers=1, max_batch_size=8, max_batch_wait_s=0.05)
+        config = ServerConfig(workers=1, max_batch_size=8)
         with AllocationServer(blocker_pipeline, config) as server:
             # hold the worker with an in-flight batch so others coalesce
             hold = threading.Event()
@@ -341,6 +350,33 @@ class TestFailureContainment:
             poisoned = bad.result(5.0)
         assert poisoned.status is ResponseStatus.FALLBACK
         assert poisoned.reason == "model_error"
+
+    def test_worker_survives_unexpected_exception(self, plans, capsys):
+        """A non-ReproError from a batch is a fallback, not a dead worker."""
+
+        class CrashOncePipeline(StubPipeline):
+            def score_batch(self, batch_plans, requested_tokens, features=None):
+                if not self.calls:
+                    self.calls.append(len(batch_plans))
+                    raise ValueError("unexpected scoring bug")
+                return super().score_batch(
+                    batch_plans, requested_tokens, features
+                )
+
+        pipeline = CrashOncePipeline()
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
+            crashed = server.submit(plans[0], 10).result(timeout=1.0)
+            after = server.request(plans[1], 10, timeout=1.0)
+            alive = all(worker.is_alive() for worker in server._workers)
+        assert crashed.status is ResponseStatus.FALLBACK
+        assert crashed.reason == "model_error"
+        assert crashed.tokens == 10  # passthrough fallback
+        assert after.status is ResponseStatus.OK
+        assert alive
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["worker_errors"] == 1
+        assert counters["fallback_model_error"] == 1
+        assert "ValueError: unexpected scoring bug" in capsys.readouterr().err
 
     def test_deadline_exceeded_gets_fallback(self, plans):
         gate = threading.Event()
