@@ -123,13 +123,14 @@ def flighted(train_repo, test_repo, scale):
 # fitted models
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
-def xgb_ss(train_dataset):
-    return XGBoostSS(seed=0).fit(train_dataset)
+def xgb_pl(train_dataset):
+    return XGBoostPL(seed=0).fit(train_dataset)
 
 
 @pytest.fixture(scope="session")
-def xgb_pl(train_dataset):
-    return XGBoostPL(seed=0).fit(train_dataset)
+def xgb_ss(xgb_pl):
+    """Shares ``xgb_pl``'s booster: both variants train the same one."""
+    return XGBoostSS.from_fitted(xgb_pl)
 
 
 def _nn(train_dataset, loss, epochs, xgb=None, seed=0):

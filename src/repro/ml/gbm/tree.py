@@ -124,9 +124,17 @@ class RegressionTree:
         if feature_indices is None:
             feature_indices = np.arange(n_features)
 
+        # Histogram bucket of every (sample, candidate feature) pair, built
+        # once per tree: sample s, feature f lands in bucket
+        # bin(s, f) * n_feat + f. Each node's split search slices its rows.
+        n_feat = feature_indices.size
+        codes = (
+            binned[:, feature_indices].astype(np.int64) * n_feat
+            + np.arange(n_feat)
+        )
         rows = np.arange(n_samples)
         self._num_bins = int(num_bins)
-        self._grow(binned, grad, hess, rows, feature_indices, depth=0)
+        self._grow(binned, codes, grad, hess, rows, feature_indices, depth=0)
         return self
 
     def _new_node(self) -> int:
@@ -140,6 +148,7 @@ class RegressionTree:
     def _grow(
         self,
         binned: np.ndarray,
+        codes: np.ndarray,
         grad: np.ndarray,
         hess: np.ndarray,
         rows: np.ndarray,
@@ -157,7 +166,7 @@ class RegressionTree:
             return node
 
         split = self._best_split(
-            binned, grad, hess, rows, feature_indices, g_total, h_total
+            codes, grad, hess, rows, feature_indices, g_total, h_total
         )
         if split is None:
             self._value[node] = leaf_value
@@ -170,15 +179,19 @@ class RegressionTree:
 
         self._feature[node] = int(feature)
         self._bin_threshold[node] = int(threshold)
-        left = self._grow(binned, grad, hess, left_rows, feature_indices, depth + 1)
-        right = self._grow(binned, grad, hess, right_rows, feature_indices, depth + 1)
+        left = self._grow(
+            binned, codes, grad, hess, left_rows, feature_indices, depth + 1
+        )
+        right = self._grow(
+            binned, codes, grad, hess, right_rows, feature_indices, depth + 1
+        )
         self._left[node] = left
         self._right[node] = right
         return node
 
     def _best_split(
         self,
-        binned: np.ndarray,
+        codes: np.ndarray,
         grad: np.ndarray,
         hess: np.ndarray,
         rows: np.ndarray,
@@ -190,16 +203,14 @@ class RegressionTree:
         lam = params.reg_lambda
         parent_score = g_total**2 / (h_total + lam)
 
-        node_bins = binned[np.ix_(rows, feature_indices)].astype(np.int64)
         node_grad = grad[rows]
         node_hess = hess[rows]
         num_bins = self._num_bins
         n_feat = feature_indices.size
 
-        # One flat bincount builds the histograms of every candidate
-        # feature at once: sample s, feature f lands in bucket
-        # bin(s, f) * n_feat + f.
-        flat = (node_bins * n_feat + np.arange(n_feat)).ravel()
+        # One flat bincount over the node's rows of ``codes`` builds the
+        # histograms of every candidate feature at once.
+        flat = codes[rows].ravel()
         length = num_bins * n_feat
         g_hist = np.bincount(
             flat, weights=np.repeat(node_grad, n_feat), minlength=length

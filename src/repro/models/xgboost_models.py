@@ -4,7 +4,9 @@ Both variants share one gradient-boosted run-time regressor trained on
 ``[job features, log(tokens)] -> runtime`` rows, where each job
 contributes its observed run plus the AREPAS point augmentation (80%/60%
 under-allocations, 120%/140% over-peak observations with floored run
-times).
+times). Fitted with the same parameters and seed, the two boosters are
+identical, so :meth:`XGBoostRuntimeModel.from_fitted` derives one
+variant from the other's fit instead of training the booster twice.
 
 * **XGBoost SS** forms the PCC by querying the booster at multiple token
   counts and smoothing the points (a smoothing spline). No shape
@@ -96,6 +98,31 @@ class XGBoostRuntimeModel(PCCPredictor):
         self.quantiles = (float(quantiles[0]), float(quantiles[1]))
         self._booster: GradientBoostingRegressor | None = None
         self._quantile_boosters: dict[float, GradientBoostingRegressor] = {}
+
+    @classmethod
+    def from_fitted(
+        cls, model: "XGBoostRuntimeModel"
+    ) -> "XGBoostRuntimeModel":
+        """A fitted ``cls`` that shares ``model``'s boosters.
+
+        Every variant trains the same boosters on the same rows and
+        differs only in how it turns point predictions into curves, so
+        one fit serves them all: the result is bit-identical to fitting
+        ``cls`` with ``model``'s booster parameters, seed and quantile
+        heads. Its other constructor arguments keep their defaults.
+        """
+        model._check_fitted()
+        twin = cls(
+            booster_params=model.booster_params,
+            seed=model._seed,
+            quantile_heads=model.quantile_heads,
+            quantiles=model.quantiles,
+            quantile_params=model.quantile_params,
+        )
+        twin._booster = model._booster
+        twin._quantile_boosters = dict(model._quantile_boosters)
+        twin._fitted = True
+        return twin
 
     def fit(self, dataset: PCCDataset) -> "XGBoostRuntimeModel":
         rows, targets = dataset.point_rows()

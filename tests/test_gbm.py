@@ -1,5 +1,7 @@
 """Unit tests for the gradient-boosting stand-in (trees + booster)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,14 @@ from repro.ml.gbm import (
     BoosterParams,
     GammaDeviance,
     GradientBoostingRegressor,
+    PinballLoss,
     RegressionTree,
     SquaredError,
     TreeParams,
+)
+from repro.models.xgboost_models import (
+    QUANTILE_HEAD_PARAMS,
+    XGBoostRuntimeModel,
 )
 
 
@@ -190,3 +197,59 @@ class TestBooster:
             BoosterParams(learning_rate=0)
         with pytest.raises(ModelError):
             BoosterParams(subsample=0)
+
+
+#: Pinned seeded fits: (params, objective, seed, sha256 of every tree's
+#: node arrays). Any change to binning, histogram construction, split
+#: gain or tie-breaking moves a hash; update only when tree semantics are
+#: meant to change.
+SPLIT_SEARCH_PINS = {
+    "gamma_booster": (
+        XGBoostRuntimeModel().booster_params,
+        "gamma",
+        0,
+        "98c3a6a4ee95879623d63b17a2e340bdd753b7b7b3bbb5791b13559b5d792886",
+    ),
+    "pinball_head": (
+        QUANTILE_HEAD_PARAMS,
+        PinballLoss(0.1),
+        101,
+        "782dccb8cfd8aac488e7842fe4ae95ae64234ac5a9486d78a5ae39c1fe037176",
+    ),
+    "row_and_column_sampling": (
+        BoosterParams(n_estimators=40, subsample=0.8, colsample=0.5),
+        "gamma",
+        3,
+        "52bd90799016e144f6b6387b751f1a622d2a57d1b0b7a6dc935e3ecb8c4dea43",
+    ),
+    "squared_error": (
+        BoosterParams(n_estimators=40),
+        "squared_error",
+        0,
+        "ac621f7002ea7110a2b19075f7728c8b3c2ca0eef17fb1d8a898b088241c907a",
+    ),
+}
+
+
+class TestSplitSearchPin:
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(2022)
+        features = rng.uniform(0.0, 10.0, size=(400, 6))
+        features[:, 5] = rng.integers(0, 4, size=400)  # exact-midpoint bins
+        targets = np.exp(
+            0.2 * features[:, 0] - 0.1 * features[:, 1]
+        ) * rng.gamma(4.0, 0.25, size=400)
+        return features, targets
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SEARCH_PINS))
+    def test_trees_match_pinned_hash(self, name):
+        params, objective, seed, expected = SPLIT_SEARCH_PINS[name]
+        booster = GradientBoostingRegressor(
+            params, objective=objective, seed=seed
+        ).fit(*self._rows())
+        digest = hashlib.sha256()
+        for tree in booster._trees:
+            for array in tree.flat_arrays():
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == expected

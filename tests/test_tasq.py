@@ -8,7 +8,8 @@ import pytest
 from repro.exceptions import PipelineError
 from repro.features.graph_features import plan_to_graph_sample
 from repro.features.job_features import job_vector
-from repro.models import TrainConfig, XGBoostSS
+from repro.ml.gbm import GammaDeviance, GradientBoostingRegressor
+from repro.models import TrainConfig, XGBoostPL, XGBoostSS, reference_window
 from repro.tasq import (
     ModelStore,
     ScoringPipeline,
@@ -139,6 +140,87 @@ class TestTrainingPipeline:
     def test_get_unknown_model(self, trained):
         with pytest.raises(PipelineError):
             trained.get("transformer")
+
+    def test_fits_the_shared_booster_once(self, repository, monkeypatch):
+        gamma_fits = []
+        fit = GradientBoostingRegressor.fit
+
+        def counting_fit(booster, *args, **kwargs):
+            if isinstance(booster.objective, GammaDeviance):
+                gamma_fits.append(booster)
+            return fit(booster, *args, **kwargs)
+
+        monkeypatch.setattr(GradientBoostingRegressor, "fit", counting_fit)
+        config = TasqConfig(train_nn=False, train_gnn=False)
+        trained = TrainingPipeline(config).run(repository, workers=1)
+        assert len(gamma_fits) == 1
+        assert (
+            trained.get("xgboost_ss")._booster
+            is trained.get("xgboost_pl")._booster
+        )
+
+    def test_xgboost_models_equal_standalone_fits(self, trained):
+        dataset = trained.dataset
+        grids = [reference_window(ref) for ref in dataset.observed_tokens()]
+        ss = XGBoostSS(seed=0).fit(dataset)
+        pl = XGBoostPL(seed=0).fit(dataset)
+        got = trained.get("xgboost_ss").predict_curves(dataset, grids)
+        want = ss.predict_curves(dataset, grids)
+        assert len(got) == len(want) == len(dataset)
+        for got_curve, want_curve in zip(got, want):
+            np.testing.assert_array_equal(got_curve, want_curve)
+        np.testing.assert_array_equal(
+            trained.get("xgboost_pl").predict_parameters(dataset),
+            pl.predict_parameters(dataset),
+        )
+
+
+class TestTrainingPipelineWorkers:
+    """Every family, trained serially and across a two-process pool."""
+
+    CONFIG = TasqConfig(
+        nn_train_config=TrainConfig(epochs=5),
+        gnn_train_config=TrainConfig(
+            epochs=2, batch_size=32, learning_rate=2e-3
+        ),
+    )
+
+    @pytest.fixture(scope="class")
+    def runs(self, repository):
+        runs = {}
+        for workers in (1, 2):
+            store = ModelStore()
+            trained = TrainingPipeline(self.CONFIG, store=store).run(
+                repository, workers=workers
+            )
+            runs[workers] = (trained, store)
+        return runs
+
+    def test_registration_order(self, runs):
+        for trained, store in runs.values():
+            assert list(trained.models) == [
+                "xgboost_ss", "xgboost_pl", "nn", "gnn"
+            ]
+            assert store.names() == ["gnn", "nn", "xgboost_pl", "xgboost_ss"]
+            assert store.latest().name == "gnn"
+
+    def test_same_models_at_any_worker_count(self, runs):
+        serial, _ = runs[1]
+        pooled, _ = runs[2]
+        dataset = serial.dataset
+        grids = [reference_window(ref) for ref in dataset.observed_tokens()]
+        for name, model in serial.models.items():
+            other = pooled.get(name)
+            for got, want in zip(
+                other.predict_curves(dataset, grids),
+                model.predict_curves(dataset, grids),
+            ):
+                np.testing.assert_array_equal(got, want)
+            if name != "xgboost_ss":
+                np.testing.assert_array_equal(
+                    other.predict_parameters(dataset),
+                    model.predict_parameters(dataset),
+                )
 
 
 class TestScoringPipeline:
