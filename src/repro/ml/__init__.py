@@ -10,9 +10,9 @@ from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
 from repro.ml.gnn import (
     AttentionPooling,
     GNNEncoder,
-    GraphBatch,
     GraphConvolution,
-    pad_graph_batch,
+    PackedBatch,
+    PackedGraphs,
 )
 from repro.ml.losses import LF1, LF2, LF3, CompositeLoss, LossInputs
 from repro.ml.metrics import (
@@ -52,8 +52,8 @@ __all__ = [
     "FlattenedForest",
     "FusedMLP",
     "compile_network",
-    "GraphBatch",
-    "pad_graph_batch",
+    "PackedBatch",
+    "PackedGraphs",
     "GraphConvolution",
     "AttentionPooling",
     "GNNEncoder",

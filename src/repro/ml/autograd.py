@@ -3,14 +3,15 @@
 This is the substrate under the NN and GNN models: the paper trains its
 networks with custom composite loss functions (LF1-LF3, Section 4.5) whose
 gradients flow through the power-law PCC itself, so a general autodiff
-tape is much cleaner than hand-derived gradients.
+tape is much cleaner than hand-derived gradients. The one exception is
+the GNN's graph encoder (``repro.ml.gnn``), which enters the tape as a
+single node with a hand-written backward.
 
 Design: a :class:`Tensor` wraps an ``ndarray``, records its parents and a
 backward closure when produced by an operation, and ``backward()`` walks
 the tape in reverse topological order. Broadcasting is supported by
 summing gradients back over broadcast axes. Matmul supports batched
-operands (leading batch dimensions), which the GNN uses for padded graph
-batches.
+operands (leading batch dimensions).
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ from repro.exceptions import ModelError
 from repro.features.encoders import StandardScaler, TargetScaler
 from repro.features.graph_features import GraphSample
 from repro.ml.autograd import Tensor
-from repro.ml.gnn import GNNEncoder, pad_graph_batch
+from repro.ml.blas import single_thread
+from repro.ml.gnn import GNNEncoder, PackedBatch, PackedGraphs
 from repro.ml.losses import CompositeLoss, LF2, LossInputs
 from repro.ml.nn import Activation, Dense, PCCParameterHead, Sequential
 from repro.models.base import PCCPredictor
@@ -29,6 +30,9 @@ from repro.models.dataset import PCCDataset
 from repro.models.training import TrainConfig, train_parameter_model
 
 __all__ = ["GNNPCCModel"]
+
+#: Graphs encoded per prediction batch.
+_PREDICT_CHUNK = 512
 
 
 class GNNPCCModel(PCCPredictor):
@@ -92,14 +96,19 @@ class GNNPCCModel(PCCPredictor):
             for s in samples
         ]
 
-    def _forward_graphs(self, graphs: list[GraphSample]) -> Tensor:
+    def _forward(self, batch: PackedBatch) -> Tensor:
         assert self._encoder is not None and self._head is not None
-        batch = pad_graph_batch(graphs)
-        embedding = self._encoder.encode(batch)
-        return self._head(embedding)
+        return self._head(self._encoder.encode(batch))
 
     # ------------------------------------------------------------------
     def fit(self, dataset: PCCDataset) -> "GNNPCCModel":
+        # One BLAS thread: the packed products are large enough for
+        # OpenBLAS to split, which contends with a busy process pool and
+        # makes the fitted weights depend on the host's thread count.
+        with single_thread():
+            return self._fit(dataset)
+
+    def _fit(self, dataset: PCCDataset) -> "GNNPCCModel":
         graphs = self._scaled_graphs(dataset, fit_scaler=True)
         targets = dataset.target_matrix()
         self._target_scaler.fit(targets)
@@ -122,9 +131,10 @@ class GNNPCCModel(PCCPredictor):
 
         in_features = graphs[0].node_features.shape[1]
         self._build(in_features)
+        packed = PackedGraphs(graphs)
 
         def forward(batch: np.ndarray) -> Tensor:
-            return self._forward_graphs([graphs[i] for i in batch])
+            return self._forward(packed.batch(batch))
 
         parameters = self._encoder.parameters() + self._head.parameters()
         self.loss_history_ = train_parameter_model(
@@ -142,18 +152,16 @@ class GNNPCCModel(PCCPredictor):
     # ------------------------------------------------------------------
     def predict_parameters(self, dataset: PCCDataset) -> np.ndarray:
         self._check_fitted()
-        graphs = self._scaled_graphs(dataset, fit_scaler=False)
-        # Predict in size-sorted chunks to keep padding waste low.
-        order = np.argsort([g.num_nodes for g in graphs], kind="stable")
-        outputs = np.zeros((len(graphs), 2))
-        chunk = 128
-        for start in range(0, len(order), chunk):
-            batch_idx = order[start : start + chunk]
-            predictions = self._forward_graphs(
-                [graphs[i] for i in batch_idx]
-            ).numpy()
-            outputs[batch_idx] = predictions
-        return outputs
+        with single_thread():
+            graphs = self._scaled_graphs(dataset, fit_scaler=False)
+            packed = PackedGraphs(graphs)
+            # Chunks, in input order, bound the memory of the node states.
+            order = np.arange(len(packed))
+            chunks = np.split(order, range(_PREDICT_CHUNK, len(order),
+                                           _PREDICT_CHUNK))
+            return np.vstack([
+                self._forward(packed.batch(chunk)).numpy() for chunk in chunks
+            ])
 
     def predict_runtime_at(
         self, dataset: PCCDataset, tokens: np.ndarray

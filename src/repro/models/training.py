@@ -46,8 +46,8 @@ def train_parameter_model(
     forward:
         Maps an index array (into the training set) to a ``(batch, 2)``
         prediction tensor. Index-based so the same loop drives both the
-        dense NN (slicing a feature matrix) and the GNN (building padded
-        graph batches).
+        dense NN (slicing a feature matrix) and the GNN (cutting a batch
+        out of its packed graphs).
     parameters:
         The trainable tensors.
     loss_fn, inputs:

@@ -59,10 +59,10 @@ __all__ = [
 #: The model families in registration order.
 _MODEL_NAMES = ("xgboost_ss", "xgboost_pl", "nn", "gnn")
 #: The families the process pool fits, longest first so the slowest
-#: starts at once (on a 600-job window the GNN fit takes about 3.5 s, the
-#: booster 2 s and the NN 0.3 s). ``xgboost_ss`` is not fitted: it shares
-#: ``xgboost_pl``'s booster.
-_FIT_ORDER = ("gnn", "xgboost_pl", "nn")
+#: starts at once (on a 600-job window in a two-process pool the booster
+#: and the GNN fits each take about 1.6-2.0 s, the NN 0.3 s).
+#: ``xgboost_ss`` is not fitted: it shares ``xgboost_pl``'s booster.
+_FIT_ORDER = ("xgboost_pl", "gnn", "nn")
 
 
 @dataclass(frozen=True)

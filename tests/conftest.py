@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.flighting import FlightHarness, build_flighted_dataset
+from repro.ml import blas
 from repro.models import build_dataset
 from repro.scope import WorkloadGenerator, run_workload
 from repro.skyline import Skyline
@@ -60,3 +61,25 @@ def flat_skyline():
     usage[:10] = 20.0
     usage[-15:] = 15.0
     return Skyline(usage)
+
+
+@pytest.fixture()
+def blas_threads():
+    """Sets OpenBLAS's thread count, as a caller outside any scope would.
+
+    The fixture is a function of the requested count that returns the
+    count OpenBLAS reports (it may allow fewer); the count from before
+    the test comes back afterwards. Skips without OpenBLAS.
+    """
+    functions = blas._openblas()
+    if functions is None:
+        pytest.skip("no OpenBLAS found")
+    setter, getter = functions
+    previous = getter()
+
+    def set_count(count: int) -> int:
+        setter(count)
+        return getter()
+
+    yield set_count
+    setter(previous)

@@ -17,6 +17,7 @@ from repro.models import (
     reference_window,
 )
 from repro.ml.losses import LF1, LF3
+from repro.models import gnn_model
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +181,28 @@ class TestGNNModel:
     def test_gnn_heavier_than_nn(self, fitted_gnn, fitted_nn):
         assert fitted_gnn.num_parameters() > 5 * fitted_nn.num_parameters()
 
-    def test_chunked_prediction_matches_order(self, fitted_gnn, dataset):
-        """Size-sorted chunking must return rows in the original order."""
-        once = fitted_gnn.predict_parameters(dataset)
-        again = fitted_gnn.predict_parameters(dataset)
-        assert np.allclose(once, again)
+    def test_chunked_prediction_matches_order(
+        self, fitted_gnn, dataset, monkeypatch
+    ):
+        """Chunked prediction returns rows in the dataset's order."""
+        whole = fitted_gnn.predict_parameters(dataset)
+        monkeypatch.setattr(gnn_model, "_PREDICT_CHUNK", 16)
+        chunked = fitted_gnn.predict_parameters(dataset)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-12)
+
+    def test_fit_independent_of_blas_thread_count(
+        self, dataset, blas_threads
+    ):
+        """Fits run on one BLAS thread, whatever the caller's count."""
+        config = TrainConfig(epochs=2, batch_size=32, learning_rate=2e-3)
+
+        def fit_at(count):
+            if blas_threads(count) != count:
+                pytest.skip(f"OpenBLAS cannot run {count} threads here")
+            model = GNNPCCModel(train_config=config, seed=0).fit(dataset)
+            return model.predict_parameters(dataset)
+
+        np.testing.assert_array_equal(fit_at(2), fit_at(1))
 
 
 class TestEvaluation:
