@@ -26,9 +26,10 @@ pickled arguments, and per-process randomness (including Python's hash
 randomization) is never used to derive results.
 
 Failure behaviour is graceful: ``workers <= 1``, a single-item input, or
-any failure to stand up the process pool (sandboxed environments,
-resource limits) degrades to an in-process serial loop that produces the
-identical result.
+a process pool that cannot start or breaks (sandboxed environments,
+resource limits, a killed worker) degrades to an in-process serial loop
+that produces the identical result. An exception raised by a task itself
+propagates as it would from the serial loop.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import multiprocessing
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -142,10 +143,13 @@ def pmap(
     dataset, an executor) are not re-pickled per item.
 
     Falls back to the serial loop when ``workers <= 1``, when there are
-    fewer than two items, or when the pool cannot be created or dies
-    (e.g. fork blocked by a sandbox) — with a warning in the last case.
-    When ``repro.obs`` tracing is enabled, worker spans and metrics are
-    merged back into the parent tracer/registry (see module docstring).
+    fewer than two items, or when the pool cannot start its workers or
+    breaks (e.g. fork blocked by a sandbox, a worker killed) — with a
+    warning in the last case. A task's own exception is not a pool
+    failure: it propagates, as from the serial loop, and no item runs
+    twice. When ``repro.obs`` tracing is enabled, worker spans and
+    metrics are merged back into the parent tracer/registry (see module
+    docstring) once every chunk has returned.
     """
     items = list(items)
     workers = min(resolve_workers(workers), max(1, len(items)))
@@ -170,17 +174,36 @@ def pmap(
             initargs=(fn, trace.enabled),
         ) as pool:
             futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
-            out: list = []
-            for future in futures:
-                results, spans, metrics = future.result()
-                _merge_worker_obs(spans, metrics)
-                out.extend(results)
-            return out
-    except (OSError, PermissionError, BrokenProcessPool) as exc:
-        warnings.warn(
-            f"process pool unavailable ({exc!r}); falling back to serial "
-            "execution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return [fn(item) for item in items]
+            # Stop at the first failure, as the serial loop would.
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
+    except (OSError, BrokenProcessPool) as exc:  # no pool to take the tasks
+        return _serial_fallback(fn, items, exc)
+    broken = [
+        future.exception()
+        for future in futures
+        if not future.cancelled()
+        and isinstance(future.exception(), BrokenProcessPool)
+    ]
+    if broken:
+        return _serial_fallback(fn, items, broken[0])
+    # Raises the first failing task's own exception in input order: every
+    # future cancelled after a failure was submitted after it.
+    outcomes = [future.result() for future in futures]
+    # Merged only once every chunk has returned, so a fallback never
+    # counts a finished chunk's metrics twice.
+    out: list = []
+    for results, spans, metrics in outcomes:
+        _merge_worker_obs(spans, metrics)
+        out.extend(results)
+    return out
+
+
+def _serial_fallback(fn: Callable, items: list, exc: BaseException) -> list:
+    warnings.warn(
+        f"process pool unavailable ({exc!r}); falling back to serial "
+        "execution",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return [fn(item) for item in items]

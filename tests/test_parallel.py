@@ -1,6 +1,9 @@
 """repro.parallel: deterministic pmap, seed spawning, obs propagation."""
 
 import multiprocessing
+import os
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +24,23 @@ def _traced_square(x):
         get_registry().counter("test_items").increment()
         get_registry().histogram("test_values", bounds=[1, 10, 100]).record(x)
     return x * x
+
+
+def _record_then_open(item, log, missing_item):
+    """Log the call; the ``missing_item`` call raises FileNotFoundError."""
+    with open(log, "a") as handle:
+        handle.write(f"{item}\n")
+    if item == missing_item:
+        open(f"{log}.missing").close()
+    return item
+
+
+def _count_or_die(item, last):
+    """Count the call; a pool worker dies on the ``last`` item."""
+    get_registry().counter("test_items").increment()
+    if item == last and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return item
 
 
 def _plans_equal(a, b):
@@ -65,6 +85,34 @@ class TestPmap:
 
     def test_start_method_is_supported(self):
         assert START_METHOD in multiprocessing.get_all_start_methods()
+
+
+class TestPmapFailures:
+    """A task's own error propagates; only a broken pool falls back."""
+
+    def teardown_method(self):
+        reset_registry()
+
+    def test_task_error_raises_without_serial_rerun(self, tmp_path):
+        log = tmp_path / "calls.log"
+        task = partial(_record_then_open, log=str(log), missing_item=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FileNotFoundError):
+                pmap(task, range(8), workers=2)
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        calls = log.read_text().split()
+        assert "5" in calls
+        assert len(calls) == len(set(calls))  # every item ran at most once
+
+    def test_broken_pool_falls_back_and_counts_each_item_once(self):
+        reset_registry()
+        items = list(range(8))
+        with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+            results = pmap(partial(_count_or_die, last=7), items, workers=2)
+        assert results == items
+        counters = get_registry().snapshot()["counters"]
+        assert counters["test_items"] == len(items)
 
 
 class TestWorkers:
