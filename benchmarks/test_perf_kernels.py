@@ -8,7 +8,7 @@ useful for catching performance regressions:
 * the discrete-event cluster executor,
 * featurization (job vectors + graph samples),
 * one boosting round and one NN training epoch,
-* GNN forward pass over a padded batch,
+* one GNN encoder forward-plus-backward step on 32 packed graphs,
 * the offline pipeline hot paths: ``build_dataset`` end-to-end, the
   vectorized allocation-sweep kernel, and warm-versus-cold cached builds,
 * fleet candidate-grid construction over the sweep kernel,
@@ -19,12 +19,15 @@ useful for catching performance regressions:
   the perf-kernels CI job runs them and archives the JSON.
 
 The pipeline benchmarks additionally write their median round times to
-``benchmarks/results/BENCH_pipeline.json`` so CI can archive them.
+``benchmarks/results/BENCH_pipeline.json``, with the hardware and
+software they ran on under ``context``, so CI can archive them.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 import time
 from pathlib import Path
@@ -35,8 +38,9 @@ import pytest
 from repro.arepas import AREPAS
 from repro.cache import ArtifactCache
 from repro.features import job_vector, plan_to_graph_sample
+from repro.ml.blas import single_thread
 from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
-from repro.ml.gnn import pad_graph_batch
+from repro.ml.gnn import GNNEncoder, PackedGraphs
 from repro.models import NNPCCModel, TrainConfig, build_dataset
 from repro.scope import ClusterExecutor, decompose_stages
 from repro.scope.repository import JobRepository
@@ -46,6 +50,25 @@ _RESULTS_DIR = Path(__file__).parent / "results"
 _PIPELINE: dict[str, float | int] = {}
 
 
+def _run_context() -> dict:
+    """The hardware and software the medians were measured on."""
+    cpu_model = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo") as handle:
+            models = [line.split(":", 1)[1].strip() for line in handle
+                      if line.startswith("model name")]
+        cpu_model = models[0] if models else cpu_model
+    except OSError:
+        pass
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_model": cpu_model,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _write_pipeline_json():
     """Flush collected pipeline medians to BENCH_pipeline.json."""
@@ -53,7 +76,8 @@ def _write_pipeline_json():
     if _PIPELINE:
         _RESULTS_DIR.mkdir(exist_ok=True)
         out = _RESULTS_DIR / "BENCH_pipeline.json"
-        out.write_text(json.dumps(_PIPELINE, indent=2, sort_keys=True) + "\n")
+        payload = {"context": _run_context(), **_PIPELINE}
+        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -131,16 +155,29 @@ def test_perf_nn_epoch(benchmark, train_dataset):
     assert model.num_parameters() > 0
 
 
-def test_perf_gnn_forward(benchmark, train_dataset):
-    from repro.ml.gnn import GNNEncoder
-
-    samples = train_dataset.graph_samples()[:64]
-    batch = pad_graph_batch(samples)
+def test_perf_gnn_step(benchmark, train_dataset):
+    """Cut a 32-graph batch, encode it, and backpropagate to every encoder
+    weight, on one BLAS thread as ``GNNPCCModel.fit`` runs it."""
+    samples = train_dataset.graph_samples()
+    packed = PackedGraphs(samples)
     encoder = GNNEncoder(
-        batch.node_features.shape[2], (80, 80), np.random.default_rng(0)
+        samples[0].node_features.shape[1], (80, 80), np.random.default_rng(0)
     )
-    out = benchmark(encoder.encode, batch)
-    assert out.shape == (len(samples), 80)
+    indices = np.random.default_rng(1).permutation(len(samples))[:32]
+
+    def step():
+        for parameter in encoder.parameters():
+            parameter.zero_grad()
+        embedding = encoder.encode(packed.batch(indices))
+        embedding.sum().backward()
+        return embedding
+
+    with single_thread():
+        out = benchmark(step)
+    assert out.shape == (32, 80)
+    assert all(p.grad is not None for p in encoder.parameters())
+    _PIPELINE["gnn_step_s"] = benchmark.stats.stats.median
+    _PIPELINE["gnn_step_graphs"] = len(indices)
 
 
 # ----------------------------------------------------------------------
