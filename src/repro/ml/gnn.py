@@ -63,8 +63,9 @@ class PackedBatch:
 class PackedGraphs:
     """A set of graphs packed once, from which batches are cut.
 
-    Holds only the packed arrays, never the samples, so it is built per
-    ``fit`` or ``predict`` call and dropped afterwards.
+    ``GNNPCCModel`` builds one per ``fit`` or ``predict_parameters`` call
+    and drops it afterwards, so a fitted model carries nothing
+    dataset-sized.
     """
 
     def __init__(self, samples: Sequence[GraphSample]) -> None:
