@@ -160,6 +160,17 @@ class TestAttentionPooling:
         pooled, _ = pooling.pool(rng.normal(size=(10, 8)), batch)
         assert pooled.shape == (3, 8)
 
+    def test_padding_excluded(self, rng):
+        """Nodes outside a graph, here a batch-mate's, must not influence
+        its embedding."""
+        pooling = AttentionPooling(4, rng)
+        real = rng.normal(size=(3, 4))
+        alone, _ = pooling.pool(real, _batch([_sample(3, feature_dim=4)]))
+        mixed = np.concatenate([real, 1000 * np.ones((2, 4))])
+        batch = _batch([_sample(3, feature_dim=4), _sample(2, feature_dim=4)])
+        together, _ = pooling.pool(mixed, batch)
+        assert np.allclose(alone[0], together[0])
+
     def test_rejects_empty_graph(self, rng):
         pooling = AttentionPooling(4, rng)
         batch = PackedBatch(
