@@ -16,11 +16,7 @@ Two seeded studies (see ``docs/uncertainty.md`` §6):
 2. **Drift-aware serving** — a closed-loop replay where one tenant's
    workload shifts family mid-stream (``tpch`` -> ``ml_training``).
    Acceptance: drift-triggered retraining with immediate hot-swap beats
-   the frozen model on the shifted tenant's post-shift p95 slowdown;
-   the shadow-gated arm is never *worse* than frozen (the promotion
-   gate may withhold promotion on thin evidence, in which case serving
-   is bit-identical to the frozen arm — challengers cannot degrade
-   serving).
+   the frozen model on the shifted tenant's post-shift p95 slowdown.
 
 Like the fleet/replay benchmarks the study shape is fixed —
 deliberately independent of ``REPRO_BENCH_SCALE`` — so the acceptance
@@ -156,7 +152,7 @@ def _drift_tenants() -> tuple[TenantSpec, ...]:
     )
 
 
-def _drift_arm(retrain: bool, promotion: str) -> dict:
+def _drift_arm(retrain: bool) -> dict:
     config = ReplayConfig(
         duration_s=_REPLAY_DURATION_S,
         bootstrap_jobs=_REPLAY_BOOTSTRAP_JOBS,
@@ -164,7 +160,6 @@ def _drift_arm(retrain: bool, promotion: str) -> dict:
         capacity=_REPLAY_CAPACITY,
         policy="water_filling",
         retrain=retrain,
-        promotion=promotion,
         # Short drift fuse: the replay completes tens of jobs, not the
         # serving default's hundreds.
         drift_window=10,
@@ -188,9 +183,8 @@ def _drift_arm(retrain: bool, promotion: str) -> dict:
 
 def _drift_study() -> dict:
     return {
-        "frozen": _drift_arm(retrain=False, promotion="immediate"),
-        "retrain_immediate": _drift_arm(retrain=True, promotion="immediate"),
-        "retrain_shadow": _drift_arm(retrain=True, promotion="shadow"),
+        "frozen": _drift_arm(retrain=False),
+        "retrain_immediate": _drift_arm(retrain=True),
     }
 
 
@@ -247,7 +241,7 @@ def test_uncertainty_risk_and_drift(benchmark, report):
         "",
         "Drift-aware serving (post-shift p95 slowdown, shifting tenant)",
     ]
-    for arm in ("frozen", "retrain_immediate", "retrain_shadow"):
+    for arm in ("frozen", "retrain_immediate"):
         stats = drift[arm]
         lines.append(
             f"  {arm:<22} p95 {stats['post_shift_p95_slowdown']:>8.2f}"
@@ -263,12 +257,9 @@ def test_uncertainty_risk_and_drift(benchmark, report):
     assert deadlines["point_attainment"] < 0.9
 
     # Acceptance: drift-triggered retraining (immediate hot-swap) beats
-    # the frozen model on post-shift tail slowdown; the shadow-gated arm
-    # never does worse than frozen.
+    # the frozen model on post-shift tail slowdown.
     frozen = drift["frozen"]["post_shift_p95_slowdown"]
     immediate = drift["retrain_immediate"]["post_shift_p95_slowdown"]
-    shadow = drift["retrain_shadow"]["post_shift_p95_slowdown"]
     assert immediate < frozen
-    assert shadow <= frozen
     assert drift["retrain_immediate"]["retrain_events"] > 0
     assert drift["frozen"]["retrain_events"] == 0

@@ -477,7 +477,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         slowdown_floor=args.slowdown_floor,
         admission=args.admission,
         retrain=args.retrain,
-        promotion=args.promotion,
         risk=args.risk,
         workers=args.workers,
     )
@@ -807,13 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--retrain", action="store_true",
         help="refit + hot-swap the model when the drift monitor fires",
-    )
-    replay.add_argument(
-        "--promotion", choices=("immediate", "shadow"),
-        default="immediate",
-        help="how a retrained model deploys: immediate hot-swap, or "
-        "shadow champion-challenger gated on accuracy + coverage "
-        "(docs/uncertainty.md)",
     )
     replay.add_argument(
         "--risk", type=float, default=None,

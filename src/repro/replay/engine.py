@@ -59,7 +59,7 @@ from repro.scope.generator import (
 )
 from repro.scope.repository import JobRepository, TelemetryRecord, run_workload
 from repro.scope.stages import decompose_stages
-from repro.serving import AllocationServer, PromotionGate, ServerConfig
+from repro.serving import AllocationServer, ServerConfig
 from repro.serving.server import ResponseStatus, ServeResponse
 from repro.tasq import ScoringPipeline
 from repro.tasq.model_store import ModelStore
@@ -96,10 +96,6 @@ class ReplayConfig:
     reallocate_running: bool = True
     #: Refit + hot-swap the model when the drift monitor fires.
     retrain: bool = False
-    #: How a retrained model reaches serving: "immediate" hot-swaps it
-    #: on the spot; "shadow" stages it as a champion-challenger and
-    #: only the promotion gate's verdict deploys it.
-    promotion: str = "immediate"
     #: Risk level for recommendations and deadline floors (None = point
     #: estimates; see ``docs/uncertainty.md``). Enables quantile heads
     #: on the serving model.
@@ -130,11 +126,6 @@ class ReplayConfig:
             raise ReplayError("cluster capacity must be positive")
         if not 0 <= self.slowdown_floor:
             raise ReplayError("slowdown floor must be non-negative")
-        if self.promotion not in ("immediate", "shadow"):
-            raise ReplayError(
-                f"unknown promotion mode {self.promotion!r}; "
-                "known: immediate, shadow"
-            )
         if self.risk is not None and not 0.0 < self.risk < 1.0:
             raise ReplayError("risk must be inside (0, 1)")
 
@@ -180,17 +171,10 @@ class ReplayEngine:
         #: deliberately not part of the hashed ReplayReport).
         self.outcomes_by_tenant_: dict[str, list[QueueOutcome]] = {}
 
-    @property
-    def _wants_intervals(self) -> bool:
-        """Quantile heads are needed for risk floors and shadow gating."""
-        return (
-            self.config.risk is not None
-            or self.config.promotion == "shadow"
-        )
-
     def _fit_model(self, repository: JobRepository, seed: int) -> XGBoostPL:
+        # Quantile heads are needed only for risk floors.
         return XGBoostPL(
-            seed=seed, quantile_heads=self._wants_intervals
+            seed=seed, quantile_heads=self.config.risk is not None
         ).fit(build_dataset(repository, workers=self.config.workers))
 
     # ------------------------------------------------------------------
@@ -462,11 +446,7 @@ class ReplayEngine:
             )
         server.record_completion(response, float(outcome.runtime))
         drift_series.append(server.monitor.rolling_median_ape)
-        if (
-            self.config.retrain
-            and server.monitor.needs_retraining
-            and not server.has_challenger
-        ):
+        if self.config.retrain and server.monitor.needs_retraining:
             self._retrain(server, history, executions)
 
     def _retrain(
@@ -475,15 +455,7 @@ class ReplayEngine:
         history: JobRepository,
         executions: dict[str, TelemetryRecord],
     ) -> None:
-        """Refit on bootstrap + replayed telemetry; deploy per config.
-
-        ``promotion="immediate"`` registers + hot-swaps + resets on the
-        spot; ``promotion="shadow"`` stages the refit model as a
-        challenger — it shadow-scores live traffic and only the
-        promotion gate's verdict deploys it (the champion monitor is
-        *not* reset, so a rejected challenger leaves the drift signal
-        armed for another attempt).
-        """
+        """Refit on bootstrap + replayed telemetry; register, swap, reset."""
         self._retrain_count += 1
         with trace.span(
             "replay.retrain", round=self._retrain_count,
@@ -497,15 +469,6 @@ class ReplayEngine:
             model = self._fit_model(
                 merged, self.config.seed + self._retrain_count
             )
-            if self.config.promotion == "shadow":
-                server.stage_challenger(
-                    model,
-                    gate=PromotionGate(
-                        min_observations=self.config
-                        .drift_min_observations,
-                    ),
-                )
-                return
             assert server._store is not None
             server._store.register(
                 _MODEL_NAME, model, {"retrain": self._retrain_count}

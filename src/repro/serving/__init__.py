@@ -6,10 +6,8 @@ compile time — as an in-process system: a bounded queue and worker
 pool with micro-batching (:mod:`~repro.serving.server`), signature-keyed
 recommendation/feature caches (:mod:`~repro.serving.cache`), token-bucket
 rate limiting plus a circuit breaker (:mod:`~repro.serving.admission`),
-degraded-mode fallbacks (:mod:`~repro.serving.fallback`),
-champion-challenger shadow scoring with a coverage-gated promotion rule
-(:mod:`~repro.serving.shadow`), and a seeded load generator
-(:mod:`~repro.serving.loadgen`). Metrics go to a
+degraded-mode fallbacks (:mod:`~repro.serving.fallback`), and a seeded
+load generator (:mod:`~repro.serving.loadgen`). Metrics go to a
 :class:`repro.obs.metrics.MetricsRegistry`.
 """
 
@@ -22,7 +20,6 @@ from repro.serving.fallback import (
     degraded_recommendation,
 )
 from repro.serving.loadgen import LoadGenerator, LoadgenConfig, LoadReport
-from repro.serving.shadow import PromotionGate, ShadowDecision, ShadowState
 from repro.serving.server import (
     AllocationServer,
     ResponseStatus,
@@ -53,9 +50,6 @@ __all__ = [
     "ServeFuture",
     "AllocationServer",
     "build_server",
-    "PromotionGate",
-    "ShadowDecision",
-    "ShadowState",
     "LoadgenConfig",
     "LoadReport",
     "LoadGenerator",

@@ -20,9 +20,8 @@ curve see "no predicted benefit from more tokens" rather than garbage.
 **Uncertainty contract.** A fallback answer is a point estimate by
 construction — there is no model behind it to quantify spread — so its
 ``pcc_interval`` stays None and its ``risk`` stays None. Interval-aware
-consumers (the monitor's coverage rule, risk-adjusted floors, the
-shadow promotion gate) must treat such answers as carrying *no*
-calibration evidence, not as zero-width intervals that trivially miss:
+consumers (the monitor's coverage rule, risk-adjusted floors) must
+treat such answers as carrying *no* calibration evidence, not as zero-width intervals that trivially miss:
 this module's recommendations are deliberately excluded from coverage
 accounting (see ``docs/uncertainty.md``).
 """

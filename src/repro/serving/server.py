@@ -40,11 +40,6 @@ in-process concurrent system:
 * **hot swap** — when constructed over a :class:`ModelStore`, workers
   poll :meth:`~repro.tasq.model_store.ModelStore.latest` and switch to
   newly registered model versions without a restart.
-* **shadow scoring** (`repro.serving.shadow`) — a staged challenger
-  model scores the same live traffic without serving; its completions
-  feed a dedicated monitor and a :class:`~repro.serving.shadow
-  .PromotionGate` promotes it (hot-swap) only when its accuracy and
-  interval coverage clear the gate (see ``docs/uncertainty.md``).
 """
 
 from __future__ import annotations
@@ -75,7 +70,6 @@ from repro.serving.fallback import (
     HistoricalMedianFallback,
     PassthroughFallback,
 )
-from repro.serving.shadow import PromotionGate, ShadowDecision, ShadowState
 from repro.tasq.model_store import ModelStore
 from repro.tasq.monitoring import PredictionMonitor
 from repro.tasq.pipeline import ScoringPipeline, TokenRecommendation
@@ -281,10 +275,6 @@ class AllocationServer:
         self._stop = threading.Event()
         self._running = False
         self._swap_lock = threading.Lock()
-        self._shadow_lock = threading.Lock()
-        self._shadow: ShadowState | None = None
-        #: Outcome of the most recent challenger (None = never staged).
-        self.challenger_decision: ShadowDecision | None = None
         self._register_gauges()
 
     # ------------------------------------------------------------------
@@ -406,8 +396,7 @@ class AllocationServer:
         Only model-backed answers (OK/CACHED) train the drift monitor —
         fallback answers carry no real prediction to hold accountable.
         Recommendations that carry a predicted interval additionally
-        feed the monitor's coverage drift rule, and a staged challenger
-        is scored against the same completion (at the granted tokens).
+        feed the monitor's coverage drift rule.
         """
         self.metrics.counter("completions").increment()
         if (
@@ -429,11 +418,6 @@ class AllocationServer:
                 recommendation.predicted_runtime_at_optimal,
                 actual_runtime,
                 interval=interval,
-            )
-            self._observe_challenger(
-                response.job_id,
-                recommendation.optimal_tokens,
-                actual_runtime,
             )
 
     # ------------------------------------------------------------------
@@ -532,7 +516,6 @@ class AllocationServer:
             max(0.0, self._clock() - scoring_started)
         )
         self.breaker.record_success()
-        self._shadow_score(live, features)
         granted = self._budget(recommendations)
         for pending, recommendation, final in zip(
             live, recommendations, granted
@@ -556,7 +539,6 @@ class AllocationServer:
                 self._fallback(pending, "model_error")
             else:
                 self.breaker.record_success()
-                self._shadow_score([pending], [plan_features])
                 self._succeed(
                     pending,
                     recommendation,
@@ -645,101 +627,6 @@ class AllocationServer:
         )
 
     # ------------------------------------------------------------------
-    # champion-challenger shadow scoring
-    # ------------------------------------------------------------------
-    def stage_challenger(
-        self, model, gate: PromotionGate | None = None
-    ) -> None:
-        """Stage a candidate model for shadow scoring on live traffic.
-
-        The challenger inherits the champion pipeline's decision
-        parameters, but always scores with a risk level (the champion's
-        if set, otherwise 0.5 — the median, which leaves decisions
-        untouched) so its recommendations carry intervals and the
-        promotion gate can judge coverage. Staging replaces any
-        previously staged challenger.
-        """
-        champion = self._pipeline
-        pipeline = ScoringPipeline(
-            model,
-            improvement_threshold=champion.improvement_threshold,
-            max_slowdown=champion.max_slowdown,
-            use_compiled=champion.use_compiled,
-            risk=champion.risk if champion.risk is not None else 0.5,
-        )
-        with self._shadow_lock:
-            self._shadow = ShadowState(
-                pipeline=pipeline, gate=gate or PromotionGate()
-            )
-            self.challenger_decision = ShadowDecision.PENDING
-        self.metrics.counter("challengers_staged").increment()
-
-    @property
-    def has_challenger(self) -> bool:
-        """True while a challenger is staged and undecided."""
-        with self._shadow_lock:
-            return self._shadow is not None
-
-    def _shadow_score(self, live: list[_Pending], features: list) -> None:
-        """Score a just-served batch with the challenger, never serving it."""
-        with self._shadow_lock:
-            shadow = self._shadow
-        if shadow is None:
-            return
-        try:
-            recommendations = shadow.pipeline.score_batch(
-                [p.plan for p in live],
-                [p.requested_tokens for p in live],
-                features,
-            )
-        except ReproError:
-            # A challenger that cannot score must never degrade serving;
-            # the error only counts against it.
-            self.metrics.counter("challenger_errors").increment()
-            return
-        with self._shadow_lock:
-            if self._shadow is not shadow:
-                return  # replaced concurrently; drop the stale scores
-            for pending, recommendation in zip(live, recommendations):
-                shadow.record(pending.plan.job_id, recommendation)
-
-    def _observe_challenger(
-        self, job_id: str, granted_tokens: int, actual_runtime: float
-    ) -> None:
-        with self._shadow_lock:
-            shadow = self._shadow
-            if shadow is None:
-                return
-            shadow.observe(job_id, granted_tokens, actual_runtime)
-            decision = shadow.decide(self.monitor)
-            if decision is ShadowDecision.PENDING:
-                return
-            self._shadow = None
-            self.challenger_decision = decision
-        if decision is ShadowDecision.PROMOTED:
-            self.metrics.counter("challenger_promotions").increment()
-            self._promote(shadow)
-        else:
-            self.metrics.counter("challenger_rejections").increment()
-
-    def _promote(self, shadow: ShadowState) -> None:
-        """Deploy a gate-approved challenger as the new champion."""
-        if self._store is not None:
-            self._store.register(
-                self._model_name,
-                shadow.model,
-                metadata={"source": "shadow_promotion"},
-            )
-            self._maybe_refresh_model(force=True)
-        else:
-            with self._swap_lock:
-                self._pipeline.model = shadow.model
-                self.metrics.counter("model_swaps").increment()
-        self.recommendation_cache.clear()
-        # The champion monitor's history belongs to the deposed model.
-        self.monitor.reset()
-
-    # ------------------------------------------------------------------
     # model hot-swap + metrics wiring
     # ------------------------------------------------------------------
     def _maybe_refresh_model(self, force: bool = False) -> None:
@@ -810,7 +697,4 @@ class AllocationServer:
         )
         self.metrics.register_gauge(
             "monitor_rolling_coverage", lambda: self.monitor.rolling_coverage
-        )
-        self.metrics.register_gauge(
-            "challenger_staged", lambda: self.has_challenger
         )

@@ -1,9 +1,8 @@
-"""The uncertainty layer: pinball loss, intervals, risk, drift, promotion.
+"""The uncertainty layer: pinball loss, intervals, risk, and drift.
 
 Every numeric threshold asserted here (quantiles 0.1/0.5/0.9, coverage
-alarm below 0.65, held-out coverage band [0.7, 0.95], promotion gate
-40 / 1.1 / [0.65, 0.98]) is the one specified in ``docs/uncertainty.md``
-— keep the two in sync.
+alarm below 0.65, held-out coverage band [0.7, 0.95]) is the one
+specified in ``docs/uncertainty.md`` — keep the two in sync.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.exceptions import (
     FittingError,
     ModelError,
     PipelineError,
-    ServingError,
 )
 from repro.ml.gbm import (
     BoosterParams,
@@ -31,7 +29,6 @@ from repro.pcc.intervals import (
     tokens_within_slowdown_at_risk,
 )
 from repro.pcc.optimal import tokens_for_slowdown
-from repro.serving.shadow import PromotionGate, ShadowDecision, ShadowState
 from repro.tasq.monitoring import PredictionMonitor
 from repro.tasq.pipeline import ScoringPipeline
 from repro.tasq.price_performance import cheapest_within_deadline
@@ -422,104 +419,3 @@ class TestCoverageDrift:
         assert monitor.rolling_coverage is None
         assert not monitor.needs_retraining
 
-
-def _rec(pcc, interval=None, tokens=50):
-    from repro.tasq.pipeline import TokenRecommendation
-
-    return TokenRecommendation(
-        job_id="job-0",
-        pcc=pcc,
-        requested_tokens=100,
-        optimal_tokens=tokens,
-        predicted_runtime_at_requested=float(pcc.runtime(100)),
-        predicted_runtime_at_optimal=float(pcc.runtime(tokens)),
-        pcc_interval=interval,
-        risk=0.9 if interval is not None else None,
-    )
-
-
-class TestPromotionGate:
-    def _shadow(self, gate=None, model=None):
-        class _Pipeline:
-            def __init__(self):
-                self.model = model
-
-        return ShadowState(
-            pipeline=_Pipeline(),
-            gate=gate or PromotionGate(min_observations=10),
-            monitor=PredictionMonitor(
-                window=40, patience=5, min_observations=5
-            ),
-        )
-
-    def test_gate_defaults_match_docs(self):
-        gate = PromotionGate()
-        assert gate.min_observations == 40
-        assert gate.max_ape_ratio == 1.1
-        assert gate.coverage_floor == 0.65
-        assert gate.coverage_ceiling == 0.98
-
-    def test_gate_validation(self):
-        with pytest.raises(ServingError):
-            PromotionGate(min_observations=0)
-        with pytest.raises(ServingError):
-            PromotionGate(max_ape_ratio=0.0)
-        with pytest.raises(ServingError):
-            PromotionGate(coverage_floor=0.9, coverage_ceiling=0.8)
-
-    def test_promotes_accurate_calibrated_challenger(self, interval):
-        shadow = self._shadow()
-        champion = PredictionMonitor(window=40, min_observations=5)
-        pcc = interval.mid
-        _, _, hi = interval.runtime_interval(50)
-        for i in range(12):
-            job_id = f"job-{i}"
-            shadow._pending[job_id] = _rec(pcc, interval)
-            # 3 of 12 actuals land outside the band: coverage 0.75 sits
-            # inside the gate's [0.65, 0.98] (never 1.0 — that would
-            # trip the too-wide ceiling).
-            actual = hi * 1.5 if i % 4 == 0 else float(pcc.runtime(50)) * 1.02
-            assert shadow.observe(job_id, 50, actual)
-            champion.observe(float(pcc.runtime(50)) * 1.5, actual)
-        assert shadow.decide(champion) is ShadowDecision.PROMOTED
-        # One-shot: the decision is stable afterwards.
-        assert shadow.decide(champion) is ShadowDecision.PROMOTED
-
-    def test_rejects_less_accurate_challenger(self, interval):
-        shadow = self._shadow()
-        champion = PredictionMonitor(window=40, min_observations=5)
-        pcc = interval.mid
-        for i in range(12):
-            job_id = f"job-{i}"
-            shadow._pending[job_id] = _rec(pcc)
-            actual = float(pcc.runtime(50)) * 2.0  # challenger APE 50%
-            shadow.observe(job_id, 50, actual)
-            champion.observe(actual * 1.01, actual)  # champion APE 1%
-        assert shadow.decide(champion) is ShadowDecision.REJECTED
-
-    def test_rejects_miscalibrated_challenger(self, interval):
-        shadow = self._shadow()
-        champion = PredictionMonitor(window=40, min_observations=5)
-        pcc = interval.mid
-        lo, _, hi = interval.runtime_interval(50)
-        for i in range(12):
-            job_id = f"job-{i}"
-            shadow._pending[job_id] = _rec(pcc, interval)
-            actual = hi * 3.0  # far outside the band: coverage 0
-            shadow.observe(job_id, 50, actual)
-            champion.observe(actual * 3.0, actual)  # champion even worse
-        assert shadow.decide(champion) is ShadowDecision.REJECTED
-
-    def test_pending_until_min_observations(self, interval):
-        shadow = self._shadow()
-        champion = PredictionMonitor()
-        pcc = interval.mid
-        for i in range(5):
-            job_id = f"job-{i}"
-            shadow._pending[job_id] = _rec(pcc)
-            shadow.observe(job_id, 50, float(pcc.runtime(50)))
-        assert shadow.decide(champion) is ShadowDecision.PENDING
-
-    def test_observe_unknown_job_is_noop(self, interval):
-        shadow = self._shadow()
-        assert not shadow.observe("never-scored", 50, 10.0)
