@@ -28,6 +28,7 @@ point-only models keep the exact legacy behaviour (see
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -127,8 +128,12 @@ class PredictionMonitor:
         coverage drift rule sees whether the actual run time landed
         inside it.
         """
-        if predicted_runtime <= 0 or actual_runtime <= 0:
-            raise PipelineError("run times must be positive")
+        # One NaN in the window would make the rolling median NaN, and
+        # the APE rule would stop breaching until it left the window.
+        if not (
+            0 < predicted_runtime < math.inf and 0 < actual_runtime < math.inf
+        ):
+            raise PipelineError("run times must be positive and finite")
         ape = abs(predicted_runtime - actual_runtime) / actual_runtime * 100.0
         self._errors.append(ape)
         self._total += 1
@@ -158,16 +163,6 @@ class PredictionMonitor:
         else:
             self._consecutive_breaches = 0
             self._breach_reason = None
-
-    def observe_batch(
-        self, predicted: np.ndarray, actual: np.ndarray
-    ) -> None:
-        predicted = np.asarray(predicted, dtype=float)
-        actual = np.asarray(actual, dtype=float)
-        if predicted.shape != actual.shape:
-            raise PipelineError("predicted/actual shapes differ")
-        for p, a in zip(predicted, actual):
-            self.observe(float(p), float(a))
 
     # ------------------------------------------------------------------
     @property

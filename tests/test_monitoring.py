@@ -60,19 +60,6 @@ class TestPredictionMonitor:
             monitor.observe(500, 100)
         assert not monitor.needs_retraining
 
-    def test_batch_observation(self):
-        monitor = PredictionMonitor(window=10, min_observations=2)
-        monitor.observe_batch(
-            np.array([110.0, 120.0]), np.array([100.0, 100.0])
-        )
-        assert monitor.snapshot().observations == 2
-
-    def test_batch_shape_mismatch(self):
-        with pytest.raises(PipelineError):
-            PredictionMonitor().observe_batch(
-                np.array([1.0]), np.array([1.0, 2.0])
-            )
-
     def test_reset(self):
         monitor = PredictionMonitor(
             window=5, error_threshold=10.0, patience=1, min_observations=2
@@ -91,8 +78,11 @@ class TestPredictionMonitor:
             PredictionMonitor(error_threshold=0)
         with pytest.raises(PipelineError):
             PredictionMonitor(patience=0)
-        with pytest.raises(PipelineError):
-            PredictionMonitor().observe(0, 10)
+        for predicted, actual in (
+            (0, 10), (10, np.nan), (10, np.inf), (np.nan, 10)
+        ):
+            with pytest.raises(PipelineError):
+                PredictionMonitor().observe(predicted, actual)
 
     def test_end_to_end_with_model(self, dataset):
         """Monitor a real model: in-distribution OK, drifted world breaches."""
@@ -108,9 +98,11 @@ class TestPredictionMonitor:
         monitor = PredictionMonitor(
             window=50, error_threshold=60.0, patience=10, min_observations=10
         )
-        monitor.observe_batch(predicted, actual)
+        for p, a in zip(predicted, actual):
+            monitor.observe(float(p), float(a))
         assert not monitor.needs_retraining  # in-distribution
 
         # A drifted world: inputs grew 4x, run times with them.
-        monitor.observe_batch(predicted, actual * 4.0)
+        for p, a in zip(predicted, actual * 4.0):
+            monitor.observe(float(p), float(a))
         assert monitor.needs_retraining
