@@ -5,7 +5,7 @@ measure raw throughput of the hot paths with repeated timed rounds —
 useful for catching performance regressions:
 
 * AREPAS skyline simulation,
-* the discrete-event cluster executor,
+* the cluster executor,
 * featurization (job vectors + graph samples),
 * one boosting round and one NN training epoch,
 * one GNN encoder forward-plus-backward step on 32 packed graphs,
@@ -109,6 +109,10 @@ def test_perf_cluster_executor(benchmark, train_repo):
     executor = ClusterExecutor()
     result = benchmark(executor.execute, graph, 64)
     assert result.runtime > 0
+    _PIPELINE["cluster_executor_s"] = benchmark.stats.stats.median
+    _PIPELINE["cluster_executor_tasks"] = sum(
+        stage.num_tasks for stage in graph.stages.values()
+    )
 
 
 def test_perf_job_featurization(benchmark, train_repo):

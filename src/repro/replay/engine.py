@@ -128,6 +128,8 @@ class ReplayConfig:
             raise ReplayError("slowdown floor must be non-negative")
         if self.risk is not None and not 0.0 < self.risk < 1.0:
             raise ReplayError("risk must be inside (0, 1)")
+        if self.timeline_bins < 1:
+            raise ReplayError("timeline needs at least one bin")
 
 
 @dataclass

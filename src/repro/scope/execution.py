@@ -1,4 +1,4 @@
-"""Discrete-event cluster executor.
+"""Simulated cluster executor.
 
 This module stands in for the Cosmos cluster: it "runs" a job — i.e. a
 :class:`~repro.scope.stages.StageGraph` — with a given token allocation and
@@ -11,21 +11,35 @@ Model:
 
 * a token is a container that executes exactly one task at a time,
 * a stage becomes *ready* when all stages it depends on have finished,
-* tasks of ready stages are started greedily, FIFO over stage topological
-  order, whenever a token is free,
+* tasks of ready stages are started greedily whenever a token is free,
+  FIFO in the order the stages became ready (sources in topological
+  order),
 * task durations are the stage's nominal duration times an optional
   lognormal jitter plus a straggler tail, so repeated executions differ
   (which is what the paper's flight-anomaly filters react to).
 
-The simulation is event-driven (a heap of task completions), and the
-skyline is recovered exactly by integrating the tasks-running step function
-over one-second bins.
+Because tasks start strictly in queue order and a stage joins the queue no
+earlier than the stages ahead of it, the schedule is list scheduling with
+non-decreasing release times, and it is simulated one stage at a time. A
+heap orders the ready stages by the key under which a FIFO queue fed by
+task completions would hold them: sources first, in topological order;
+every other stage by its ready time, then the start sequence number of the
+dependency task whose completion made it ready (the latest by finish time,
+then sequence), then its position in ``graph.stages``. Each task of the
+popped stage, in index order, takes the earliest-free token from a heap of
+token free times and starts at the later of that free time and the stage's
+ready time. The start and end times are the same float additions that an
+event loop over task completions performs, so the result is exact, not an
+approximation.
+
+The skyline is recovered exactly by integrating the tasks-running step
+function over one-second bins.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +127,12 @@ class ClusterExecutor:
         ExecutionError
             If the token count is not a positive integer.
         """
+        try:
+            tokens = operator.index(tokens)
+        except TypeError:
+            raise ExecutionError(
+                f"token allocation must be an integer, got {tokens!r}"
+            ) from None
         if tokens < 1:
             raise ExecutionError("token allocation must be at least 1")
         noisy = (
@@ -136,8 +156,11 @@ class ClusterExecutor:
         tokens: int,
         rng: np.random.Generator | None,
     ) -> ExecutionResult:
+        if not graph.stages:
+            raise ExecutionError(f"job {graph.job_id} has no runnable tasks")
         durations = self._draw_durations(graph, rng)
 
+        position = {sid: i for i, sid in enumerate(graph.stages)}
         pending_deps = {
             sid: len(stage.dependencies) for sid, stage in graph.stages.items()
         }
@@ -146,69 +169,64 @@ class ClusterExecutor:
             for dep in stage.dependencies:
                 dependents[dep].append(sid)
 
-        remaining_tasks = {
-            sid: stage.num_tasks for sid, stage in graph.stages.items()
-        }
-        next_task_index = {sid: 0 for sid in graph.stages}
-
-        # FIFO queue of ready stages, in topological order for determinism.
-        ready: deque[int] = deque(
-            sid for sid in graph.topological_order() if pending_deps[sid] == 0
-        )
-
-        free_tokens = tokens
-        clock = 0.0
-        # (finish_time, sequence, stage_id) — sequence breaks ties stably.
-        running: list[tuple[float, int, int]] = []
-        sequence = 0
-        intervals_start: list[float] = []
-        intervals_end: list[float] = []
+        # Ready stages keyed (ready time, start sequence of the task whose
+        # completion made the stage ready, position in graph.stages): the
+        # order in which a FIFO queue fed by task completions would hold
+        # them. Sources come first, in topological order.
+        ready: list[tuple[float, int, int, int]] = [
+            (0.0, -1, rank, sid)
+            for rank, sid in enumerate(graph.topological_order())
+            if pending_deps[sid] == 0
+        ]
+        # Latest (finish time, start sequence) over the finished
+        # dependencies of each not-yet-ready stage.
+        trigger: dict[int, tuple[float, int]] = {}
+        # Free times of the tokens; more tokens than tasks never help.
+        total_tasks = sum(stage.num_tasks for stage in graph.stages.values())
+        free = [0.0] * min(tokens, total_tasks)
+        heapreplace = heapq.heapreplace
+        starts: list[float] = []
+        ends: list[float] = []
+        start_task = starts.append
+        end_task = ends.append
         stage_finish: dict[int, float] = {}
         stage_start: dict[int, float] = {}
 
-        def start_tasks() -> None:
-            nonlocal free_tokens, sequence
-            while free_tokens > 0 and ready:
-                sid = ready[0]
-                index = next_task_index[sid]
-                duration = durations[sid][index]
-                if index == 0:
-                    stage_start[sid] = clock
-                next_task_index[sid] += 1
-                if next_task_index[sid] == graph.stages[sid].num_tasks:
-                    ready.popleft()
-                heapq.heappush(running, (clock + duration, sequence, sid))
-                sequence += 1
-                intervals_start.append(clock)
-                intervals_end.append(clock + duration)
-                free_tokens -= 1
+        while ready:
+            ready_time, _trigger, _position, sid = heapq.heappop(ready)
+            first = len(ends)
+            for duration in durations[sid].tolist():
+                free_at = free[0]
+                start = free_at if free_at > ready_time else ready_time
+                end = start + duration
+                heapreplace(free, end)
+                start_task(start)
+                end_task(end)
+            stage_ends = ends[first:]
+            finish = max(stage_ends)
+            stage_start[sid] = starts[first]
+            stage_finish[sid] = finish
+            # The stage's last completion: its latest-finishing task, the
+            # later-started one on a tie.
+            done = (finish, len(ends) - 1 - stage_ends[::-1].index(finish))
+            for dependent in dependents[sid]:
+                trigger[dependent] = max(trigger.get(dependent, done), done)
+                pending_deps[dependent] -= 1
+                if pending_deps[dependent] == 0:
+                    ready_at, by = trigger.pop(dependent)
+                    heapq.heappush(
+                        ready, (ready_at, by, position[dependent], dependent)
+                    )
 
-        start_tasks()
-        if not running:
-            raise ExecutionError(f"job {graph.job_id} has no runnable tasks")
-
-        while running:
-            finish_time, _seq, sid = heapq.heappop(running)
-            clock = finish_time
-            free_tokens += 1
-            remaining_tasks[sid] -= 1
-            if remaining_tasks[sid] == 0:
-                stage_finish[sid] = clock
-                for dependent in dependents[sid]:
-                    pending_deps[dependent] -= 1
-                    if pending_deps[dependent] == 0:
-                        ready.append(dependent)
-            start_tasks()
-
-        makespan = clock
+        makespan = max(stage_finish.values())
         if trace.enabled:
             # Per-stage spans live on the simulated-time track (the
             # executor's clock is virtual seconds, not wall time), and
-            # event/task totals go to the process-wide registry.
+            # task/stage totals go to the process-wide registry.
             for sid, finish in stage_finish.items():
                 trace.record_span(
                     "scope.stage",
-                    stage_start.get(sid, 0.0),
+                    stage_start[sid],
                     finish,
                     virtual=True,
                     job=graph.job_id,
@@ -217,12 +235,12 @@ class ClusterExecutor:
                 )
             registry = get_registry()
             registry.counter("scope_jobs_executed").increment()
-            registry.counter("scope_events_processed").increment(sequence)
+            registry.counter("scope_events_processed").increment(len(ends))
             registry.counter("scope_stages_completed").increment(
                 len(stage_finish)
             )
         skyline = _intervals_to_skyline(
-            np.asarray(intervals_start), np.asarray(intervals_end), makespan
+            np.asarray(starts), np.asarray(ends), makespan
         )
         return ExecutionResult(
             job_id=graph.job_id,

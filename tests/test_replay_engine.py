@@ -174,6 +174,11 @@ class TestEngineValidation:
         with pytest.raises(ReplayError, match="at least 10"):
             ReplayConfig(bootstrap_jobs=3)
 
+    def test_timeline_needs_a_bin(self):
+        for bins in (0, -1):
+            with pytest.raises(ReplayError, match="at least one bin"):
+                ReplayConfig(timeline_bins=bins)
+
 
 # ----------------------------------------------------------------------
 # Stream-level replay properties (cheap enough for hypothesis).
