@@ -161,11 +161,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
     recommendations = scorer.score_batch(
         [r.plan for r in records], [r.requested_tokens for r in records]
     )
+    # A row whose predicted PCC increases has no optimal allocation.
+    no_curve = "no usable curve (the predicted PCC increases)"
     if args.explain:
         from repro.tasq.explain import explain_recommendation
 
-        for rec in recommendations:
-            print(explain_recommendation(rec))
+        for record, rec in zip(records, recommendations):
+            if rec is None:
+                print(f"Job {record.job_id}: {no_curve}.")
+            else:
+                print(explain_recommendation(rec))
             print()
         return 0
     header = (
@@ -174,7 +179,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
     )
     print(header)
     print("-" * len(header))
-    for rec in recommendations:
+    for record, rec in zip(records, recommendations):
+        if rec is None:
+            print(
+                f"{record.job_id:<20} {record.requested_tokens:>9}   "
+                f"{no_curve}"
+            )
+            continue
         print(
             f"{rec.job_id:<20} {rec.requested_tokens:>9} "
             f"{rec.optimal_tokens:>8} {rec.token_savings:>7.0%} "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arepas.simulator import AREPAS
-from repro.exceptions import FittingError, FleetError
+from repro.exceptions import FleetError
 from repro.fleet.demand import JobDemand
 from repro.fleet.scheduler import FleetJob, FleetScheduler
 from repro.pcc.optimal import tokens_for_slowdown
@@ -157,33 +157,23 @@ def build_demands(
 
 
 def score_usable(scorer, records):
-    """Score records, dropping jobs whose predicted PCC is increasing.
+    """Score records in one call, dropping jobs whose predicted PCC increases.
 
     Some model families (notably the XGBoost power-law refit) can emit
-    an *increasing* PCC for an odd job; the scoring pipeline rightly
-    rejects those, but one such job should not sink a whole fleet
-    study. The fast path scores the batch in one call and only falls
-    back to per-job scoring (skipping the unusable) when it fails.
+    an *increasing* PCC for an odd job. Such a curve has no optimal
+    allocation, so the scoring pipeline answers that row ``None``.
 
     Returns the kept records and their recommendations, aligned.
     """
-    try:
-        return records, scorer.score_batch(
-            [r.plan for r in records],
-            [r.requested_tokens for r in records],
-        )
-    except FittingError:
-        pass
-    kept, recommendations = [], []
-    for record in records:
-        try:
-            recommendations.append(
-                scorer.score(record.plan, record.requested_tokens)
-            )
-        except FittingError:
-            continue
-        kept.append(record)
-    return kept, recommendations
+    recommendations = scorer.score_batch(
+        [r.plan for r in records], [r.requested_tokens for r in records]
+    )
+    usable = [
+        (record, rec)
+        for record, rec in zip(records, recommendations)
+        if rec is not None
+    ]
+    return [record for record, _ in usable], [rec for _, rec in usable]
 
 
 def compare_policies(

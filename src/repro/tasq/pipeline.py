@@ -9,7 +9,8 @@ in-process:
   featurization -> model training -> registration in a
   :class:`~repro.tasq.model_store.ModelStore`.
 * :class:`ScoringPipeline` — compile-time plan -> features -> predicted
-  PCC -> token recommendation (optimal tokens + expected trade-off).
+  PCC -> token recommendation (optimal tokens + expected trade-off), or
+  ``None`` for a row whose predicted PCC increases (no optimum exists).
 
 With ``risk=`` set, scoring consumes the model's predicted
 :class:`~repro.pcc.intervals.PCCInterval` instead of the point curve
@@ -20,6 +21,7 @@ risk quantile of the run-time distribution (see ``docs/uncertainty.md``).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -279,6 +281,12 @@ def _scoring_dataset(
 class ScoringPipeline:
     """Compile-time scoring: plan -> PCC -> token recommendation.
 
+    A row whose predicted PCC increases (``a > 0``) has no optimal
+    allocation (Section 2.1); XGBoost PL predicts one for about a
+    quarter of jobs in the paper (§5). :meth:`score_batch` and
+    :meth:`score_features` answer such a row ``None`` and score the
+    others exactly as alone; :meth:`score` raises ``FittingError``.
+
     Parameters
     ----------
     model:
@@ -329,21 +337,33 @@ class ScoringPipeline:
         requested_tokens: int,
         features: PlanFeatures | None = None,
     ) -> TokenRecommendation:
-        """Recommendation for a single incoming job."""
+        """Recommendation for a single incoming job.
+
+        Raises :class:`~repro.exceptions.FittingError` when the job's
+        predicted PCC is increasing.
+        """
         feature_list = None if features is None else [features]
-        return self.score_batch([plan], [requested_tokens], feature_list)[0]
+        recommendation = self.score_batch(
+            [plan], [requested_tokens], feature_list
+        )[0]
+        if recommendation is None:
+            raise FittingError(
+                "optimal allocation is undefined for an increasing PCC"
+            )
+        return recommendation
 
     def score_batch(
         self,
         plans: list[QueryPlan],
         requested_tokens: list[int],
         features: list[PlanFeatures] | None = None,
-    ) -> list[TokenRecommendation]:
+    ) -> list[TokenRecommendation | None]:
         """Recommendations for a batch of incoming jobs.
 
         ``features`` optionally carries precomputed :class:`PlanFeatures`
         (one per plan, e.g. from a serving feature cache) so plans are
-        not re-featurized on every call.
+        not re-featurized on every call. A row whose predicted PCC is
+        increasing gets ``None``.
         """
         if len(plans) != len(requested_tokens):
             raise PipelineError("plans and token requests must align")
@@ -372,7 +392,7 @@ class ScoringPipeline:
         job_ids: list[str],
         requested_tokens: list[int],
         features: list[PlanFeatures],
-    ) -> list[TokenRecommendation]:
+    ) -> list[TokenRecommendation | None]:
         """Recommendations from identifiers plus precomputed features.
 
         The plan-free half of scoring: :meth:`score_batch` with
@@ -402,31 +422,21 @@ class ScoringPipeline:
     ) -> tuple[list[PowerLawPCC] | None, list[PCCInterval] | None]:
         """Model inference for one scoring dataset (shared by both entries)."""
         batch = len(dataset.examples)
-        with trace.span("tasq.predict_pccs", batch=batch):
+        # nullcontext leaves an enclosing override(False) in force.
+        kernels = (
+            contextlib.nullcontext()
+            if self.use_compiled
+            else compiled_kernels.override(False)
+        )
+        with trace.span("tasq.predict_pccs", batch=batch), kernels:
             intervals: list[PCCInterval] | None = None
-            if self.use_compiled:
-                if self.risk is not None:
-                    intervals = self.model.predict_pcc_intervals(dataset)
-                    pccs = (
-                        None
-                        if intervals is None
-                        else [iv.mid for iv in intervals]
-                    )
-                else:
-                    pccs = self.model.predict_pccs(dataset)
+            if self.risk is not None:
+                intervals = self.model.predict_pcc_intervals(dataset)
+                pccs = (
+                    None if intervals is None else [iv.mid for iv in intervals]
+                )
             else:
-                with compiled_kernels.override(False):
-                    if self.risk is not None:
-                        intervals = self.model.predict_pcc_intervals(
-                            dataset
-                        )
-                        pccs = (
-                            None
-                            if intervals is None
-                            else [iv.mid for iv in intervals]
-                        )
-                    else:
-                        pccs = self.model.predict_pccs(dataset)
+                pccs = self.model.predict_pccs(dataset)
         if trace.enabled:
             get_registry().counter("tasq_jobs_scored").increment(batch)
         return pccs, intervals
@@ -438,40 +448,42 @@ class ScoringPipeline:
         tokens_arr: np.ndarray,
         pccs: list[PowerLawPCC] | None,
         intervals: list[PCCInterval] | None,
-    ) -> list[TokenRecommendation]:
+    ) -> list[TokenRecommendation | None]:
         if pccs is None:
             raise PipelineError(
                 f"{self.model.name} is non-parametric; scoring needs a "
                 "parametric PCC model (NN, GNN, or XGBoost PL)"
             )
 
+        a = np.array([pcc.a for pcc in pccs], dtype=float)
+        b = np.array([pcc.b for pcc in pccs], dtype=float)
+        usable = np.flatnonzero(a <= 0)
         best, run_requested, run_best = self._recommend_vectorized(
-            pccs, tokens_arr, intervals
+            a[usable],
+            b[usable],
+            tokens_arr[usable],
+            None if intervals is None else [intervals[i] for i in usable],
         )
-        if intervals is None:
-            intervals = [None] * len(pccs)
-        return [
-            TokenRecommendation(
-                job_id=job_id,
-                pcc=pcc,
-                requested_tokens=int(requested),
+        recommendations: list[TokenRecommendation | None] = [None] * len(pccs)
+        for row, chosen, at_requested, at_best in zip(
+            usable.tolist(), best, run_requested, run_best
+        ):
+            recommendations[row] = TokenRecommendation(
+                job_id=job_ids[row],
+                pcc=pccs[row],
+                requested_tokens=int(requested_tokens[row]),
                 optimal_tokens=int(chosen),
                 predicted_runtime_at_requested=float(at_requested),
                 predicted_runtime_at_optimal=float(at_best),
-                pcc_interval=interval,
+                pcc_interval=None if intervals is None else intervals[row],
                 risk=self.risk,
             )
-            for job_id, requested, pcc, chosen, at_requested, at_best,
-            interval
-            in zip(
-                job_ids, requested_tokens, pccs, best, run_requested,
-                run_best, intervals,
-            )
-        ]
+        return recommendations
 
     def _recommend_vectorized(
         self,
-        pccs: list[PowerLawPCC],
+        a: np.ndarray,
+        b: np.ndarray,
         requested: np.ndarray,
         intervals: list[PCCInterval] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -482,15 +494,10 @@ class ScoringPipeline:
         ``pcc.runtime`` over the batch with one array expression each —
         the scalar helpers remain the reference semantics (and the unit
         under property tests), but scoring no longer pays a Python loop
-        of scalar power evaluations per batch.
+        of scalar power evaluations per batch. Every row must have a
+        non-increasing curve (``a <= 0``); each expression is
+        elementwise, so a row's answer does not depend on its batch.
         """
-        a = np.array([pcc.a for pcc in pccs], dtype=float)
-        b = np.array([pcc.b for pcc in pccs], dtype=float)
-        if np.any(a > 0):
-            raise FittingError(
-                "optimal allocation is undefined for an increasing PCC"
-            )
-
         # optimal_tokens: A* = floor(-a / threshold), clamped to
         # [1, requested] (min applied after the max, as in the scalar).
         ideal = np.floor(-a / self.improvement_threshold)

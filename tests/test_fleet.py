@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ExecutionError, FittingError, FleetError
+from repro.exceptions import ExecutionError, FleetError
 from repro.fleet import (
     BASELINE_NAMES,
     POLICY_NAMES,
@@ -538,18 +538,20 @@ class TestServingIntegration:
 
 
 class FlakyScorer:
-    """Batch scoring fails; per-job scoring rejects marked plans."""
+    """Answers ``None`` for marked plans, as for an increasing PCC."""
 
     def __init__(self, bad_ids):
         self.bad_ids = set(bad_ids)
+        self.calls = 0
 
     def score_batch(self, plans, requested_tokens, features=None):
-        raise FittingError("increasing PCC in batch")
-
-    def score(self, plan, requested_tokens):
-        if plan.job_id in self.bad_ids:
-            raise FittingError("increasing PCC")
-        return recommendation(plan.job_id, int(requested_tokens), 10)
+        self.calls += 1
+        return [
+            None
+            if plan.job_id in self.bad_ids
+            else recommendation(plan.job_id, int(tokens), 10)
+            for plan, tokens in zip(plans, requested_tokens)
+        ]
 
 
 class TestEvaluation:
@@ -578,7 +580,9 @@ class TestEvaluation:
 
     def test_score_usable_drops_unscorable_records(self, records):
         bad = {records[1].job_id, records[3].job_id}
-        kept, recs = score_usable(FlakyScorer(bad), records)
+        scorer = FlakyScorer(bad)
+        kept, recs = score_usable(scorer, records)
+        assert scorer.calls == 1
         assert len(kept) == len(records) - 2
         assert [r.job_id for r in kept] == [r.job_id for r in recs]
         assert not bad.intersection(r.job_id for r in kept)

@@ -6,11 +6,42 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
 from repro.models import NNPCCModel, TrainConfig, tune_runtime_weight
+from repro.models.base import PCCPredictor
 from repro.cli import build_parser, main
+from repro.scope.serialization import load_repository
+
+
+class MarkedIncreasing(PCCPredictor):
+    """Constant decreasing curves, except that the marked jobs' increase."""
+
+    name = "marked_increasing"
+
+    def __init__(self, job_ids):
+        super().__init__()
+        self.job_ids = set(job_ids)
+        self._fitted = True
+
+    def fit(self, dataset):
+        return self
+
+    def predict_runtime_at(self, dataset, tokens):
+        return np.full(len(dataset), 100.0)
+
+    def predict_curves(self, dataset, grids):
+        return [100.0 * np.power(grid, -0.5) for grid in grids]
+
+    def predict_parameters(self, dataset):
+        return np.array(
+            [
+                [0.3 if e.job_id in self.job_ids else -0.5, np.log(100.0)]
+                for e in dataset.examples
+            ]
+        )
 
 
 class TestWeightTuning:
@@ -115,6 +146,31 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "optimal" in out
+
+    def test_score_answers_a_row_without_a_usable_curve(
+        self, repo_file, tmp_path, capsys
+    ):
+        records = load_repository(repo_file).records()[:3]
+        model_path = tmp_path / "model.pkl"
+        with open(model_path, "wb") as handle:
+            pickle.dump(MarkedIncreasing({records[1].job_id}), handle)
+        argv = [
+            "score", "--model", str(model_path), "--repo", str(repo_file),
+            "--limit", "3",
+        ]
+
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert [line.split()[0] for line in lines] == [
+            r.job_id for r in records
+        ]
+        assert "no usable curve" in lines[1]
+        assert "no usable curve" not in lines[0] + lines[2]
+
+        assert main([*argv, "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert f"Job {records[1].job_id}: no usable curve" in out
+        assert out.count("Recommended allocation") == 2
 
     def test_score_unknown_job(self, repo_file, tmp_path):
         model_path = tmp_path / "model.pkl"
