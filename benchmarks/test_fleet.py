@@ -4,8 +4,8 @@ The cluster-level extension of the Section 1 motivation study: instead
 of right-sizing each job in isolation, a :class:`GlobalAllocator`
 divides the shared token pool across concurrent jobs from their
 predicted PCCs. One seeded arrival stream is replayed under every
-regime — user defaults, clairvoyant peak, per-job TASQ, and each
-fleet policy — and the cluster-wide makespan / wait / token-hours are
+regime — user defaults, clairvoyant peak, per-job TASQ, and global
+water-filling — and the cluster-wide makespan / wait / token-hours are
 compared.
 
 Unlike the reproduction benchmarks, this study runs on its own
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet import POLICY_NAMES, compare_policies, score_usable
+from repro.fleet import compare_policies, score_usable
 from repro.models import XGBoostPL, build_dataset
 from repro.scope import WorkloadGenerator, run_workload
 from repro.tasq import ScoringPipeline
@@ -58,11 +58,7 @@ def test_fleet_policies_beat_baselines(benchmark, fleet_records, report):
     comparison = benchmark.pedantic(
         compare_policies,
         args=(records, recommendations),
-        kwargs={
-            "policies": POLICY_NAMES,
-            "arrival_mean_s": _ARRIVAL_MEAN_S,
-            "seed": _SEED,
-        },
+        kwargs={"arrival_mean_s": _ARRIVAL_MEAN_S, "seed": _SEED},
         rounds=1,
         iterations=1,
     )
@@ -82,23 +78,17 @@ def test_fleet_policies_beat_baselines(benchmark, fleet_records, report):
     default = comparison.get("default")
     peak = comparison.get("peak")
     tasq = comparison.get("tasq")
-    fleet = [comparison.get(f"fleet/{p}") for p in POLICY_NAMES]
+    fleet = comparison.get("fleet/water_filling")
 
-    # Acceptance: at least one global policy beats BOTH the Default and
-    # Peak baselines on makespan AND mean wait ...
-    winners = [
-        o
-        for o in fleet
-        if o.makespan < min(default.makespan, peak.makespan)
-        and o.mean_wait < min(default.mean_wait, peak.mean_wait)
-    ]
-    assert winners, "no fleet policy beat Default and Peak"
+    # Acceptance: global allocation beats BOTH the Default and Peak
+    # baselines on makespan AND mean wait ...
+    assert fleet.makespan < min(default.makespan, peak.makespan)
+    assert fleet.mean_wait < min(default.mean_wait, peak.mean_wait)
 
     # ... and beats per-job TASQ on at least one of the two.
-    assert any(
-        o.makespan < tasq.makespan or o.mean_wait < tasq.mean_wait
-        for o in winners
-    ), "no winning fleet policy improved on per-job TASQ"
+    assert (
+        fleet.makespan < tasq.makespan or fleet.mean_wait < tasq.mean_wait
+    ), "global allocation did not improve on per-job TASQ"
 
     # Sanity: the pool is never over-committed in any regime.
     for outcome in comparison.outcomes:

@@ -11,7 +11,6 @@ useful for catching performance regressions:
 * one GNN encoder forward-plus-backward step on 32 packed graphs,
 * the offline pipeline hot paths: ``build_dataset`` end-to-end, the
   vectorized allocation-sweep kernel, and warm-versus-cold cached builds,
-* fleet candidate-grid construction over the sweep kernel,
 * the compiled inference kernels (``repro.ml.compiled``): flattened-GBM
   and fused-MLP throughput versus the reference paths at batch sizes
   1/64/1024, plus the routed XGBoost-PL scoring path end to end. These
@@ -213,32 +212,6 @@ def test_perf_vectorized_sweep(benchmark, big_skyline):
     _PIPELINE["sweep_kernel_s"] = kernel_s
     _PIPELINE["sweep_loop_s"] = loop_s
     _PIPELINE["sweep_speedup"] = loop_s / kernel_s
-    assert loop_s > kernel_s
-
-
-def test_perf_fleet_candidate_grid(benchmark, big_skyline):
-    """Skyline-backed candidate grids ride the sweep kernel: one
-    prefix-sum pass over the whole grid must beat simulating each
-    allocation separately."""
-    from repro.fleet import skyline_grid
-
-    lo, hi = 4, int(big_skyline.peak)
-    grid = benchmark(skyline_grid, big_skyline, lo, hi, num_points=64)
-
-    sim = AREPAS()
-    start = time.perf_counter()
-    slow = [
-        sim.simulate(big_skyline, float(tokens)).simulated_runtime
-        for tokens in grid.tokens
-    ]
-    loop_s = time.perf_counter() - start
-
-    assert len(slow) == len(grid.tokens)
-    assert np.all(np.diff(grid.runtimes) <= 1e-12)  # monotone envelope
-    kernel_s = benchmark.stats.stats.median
-    _PIPELINE["fleet_grid_kernel_s"] = kernel_s
-    _PIPELINE["fleet_grid_loop_s"] = loop_s
-    _PIPELINE["fleet_grid_speedup"] = loop_s / kernel_s
     assert loop_s > kernel_s
 
 

@@ -5,8 +5,8 @@ serving stack — every arrival is scored by the :class:`AllocationServer`,
 admitted by the :class:`FleetScheduler` under a shared cap, executed on
 the simulated cluster, and its outcome fed back to the drift monitor —
 once per allocation regime. The study compares tail wait (p95) across
-user defaults, clairvoyant peak, per-job TASQ, and the global fleet
-policies.
+user defaults, clairvoyant peak, per-job TASQ, and global
+water-filling.
 
 The tenants all draw from the ``tpch`` family the bootstrap model was
 trained on, so the comparison isolates *allocation policy* rather than
@@ -24,8 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet import POLICY_NAMES
-from repro.replay import ReplayConfig, TenantSpec, run_replay
+from repro.replay import REPLAY_POLICIES, ReplayConfig, TenantSpec, run_replay
 
 _RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -36,7 +35,6 @@ _BOOTSTRAP_JOBS = 40
 _TENANTS = tuple(
     TenantSpec(name=f"tenant-{i}", family="tpch") for i in range(3)
 )
-_POLICIES = ("default", "peak", "tasq") + POLICY_NAMES
 
 
 def _replay(policy: str):
@@ -53,7 +51,7 @@ def _replay(policy: str):
 
 def test_replay_fleet_policies_beat_baselines(benchmark, report):
     reports = benchmark.pedantic(
-        lambda: {policy: _replay(policy) for policy in _POLICIES},
+        lambda: {policy: _replay(policy) for policy in REPLAY_POLICIES},
         rounds=1,
         iterations=1,
     )
@@ -96,11 +94,8 @@ def test_replay_fleet_policies_beat_baselines(benchmark, report):
 
     default = reports["default"]
     peak = reports["peak"]
-    # Acceptance: at least one global fleet policy beats BOTH the
-    # Default and clairvoyant Peak baselines on tail (p95) wait.
-    winners = [
-        policy
-        for policy in POLICY_NAMES
-        if reports[policy].p95_wait < min(default.p95_wait, peak.p95_wait)
-    ]
-    assert winners, "no fleet policy beat Default and Peak on p95 wait"
+    # Acceptance: global water-filling beats BOTH the Default and
+    # clairvoyant Peak baselines on tail (p95) wait.
+    assert reports["water_filling"].p95_wait < min(
+        default.p95_wait, peak.p95_wait
+    ), "global allocation did not beat Default and Peak on p95 wait"

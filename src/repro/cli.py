@@ -13,8 +13,8 @@ Subcommands mirror the production workflow of Figure 4:
 * ``loadtest`` — drive the server with a generated workload and report
   throughput, tail latency, cache hit rate, and shed rate,
 * ``fleet`` — replay a repository's jobs through the cluster-level
-  global allocator (`repro.fleet`) and compare makespan / wait /
-  token-hours across policies and the Default/Peak/TASQ baselines,
+  global allocator (`repro.fleet`) and compare its makespan / wait /
+  token-hours with the Default/Peak/TASQ baselines,
 * ``replay`` — arrival-driven multi-tenant replay (`repro.replay`):
   seeded arrival processes feed jobs through the live allocation
   server into the shared pool, execute them, and close the loop
@@ -45,12 +45,7 @@ from pathlib import Path
 from repro import obs
 from repro.arepas import error_summary, simulation_errors
 from repro.exceptions import ReproError
-from repro.fleet import (
-    ADMISSION_ORDERS,
-    POLICY_NAMES,
-    compare_policies,
-    score_usable,
-)
+from repro.fleet import ADMISSION_ORDERS, compare_policies, score_usable
 from repro.flighting import FlightHarness, build_flighted_dataset
 from repro.models import TrainConfig, build_dataset
 from repro.models.gnn_model import GNNPCCModel
@@ -404,18 +399,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print("no scorable jobs in the requested range", file=sys.stderr)
         return 1
 
-    policies = (
-        POLICY_NAMES if args.policy == "all" else (args.policy,)
-    )
     comparison = compare_policies(
         records,
         recommendations,
         capacity=args.cluster_cap,
-        policies=policies,
         arrival_mean_s=args.arrival_mean,
         seed=args.seed,
         slowdown_floor=args.slowdown_floor,
-        deadline_slack=args.deadline_slack,
     )
     print(
         f"{comparison.jobs} jobs, cluster cap "
@@ -705,11 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="compare cluster-level global allocation policies",
+        help="compare global allocation with per-job baselines",
         description="Replay a repository's jobs through the fleet "
         "scheduler under a shared token cap and compare cluster-wide "
-        "makespan / wait time / token-hours across allocation policies "
-        "and the Default/Peak/per-job-TASQ baselines (docs/fleet.md). "
+        "makespan / wait time / token-hours of global water-filling "
+        "with the Default/Peak/per-job-TASQ baselines (docs/fleet.md). "
         "Runs are fully seeded and reproducible.",
     )
     fleet.add_argument("--repo", type=Path, required=True)
@@ -721,12 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster-cap", type=int, default=None,
         help="shared token pool size; default = the stream's largest "
         "single request",
-    )
-    fleet.add_argument(
-        "--policy",
-        choices=("all",) + POLICY_NAMES,
-        default="all",
-        help="global allocation policy to evaluate (default: all)",
     )
     fleet.add_argument("--limit", type=int, default=200)
     fleet.add_argument("--min-tokens", type=int, default=2)
@@ -742,11 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slowdown-floor", type=float, default=0.25,
         help="protective SLO: never squeeze a job beyond this predicted "
         "slowdown versus its request",
-    )
-    fleet.add_argument(
-        "--deadline-slack", type=float, default=0.25,
-        help="deadline policy: per-job deadline as (1+slack) x predicted "
-        "run time at the requested tokens",
     )
     fleet.add_argument(
         "--out", type=Path, default=None,
@@ -820,8 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--risk", type=float, default=None,
-        help="risk level in (0, 1) for recommendations and deadline "
-        "floors; e.g. 0.9 = SLOs hold at the q90 of predicted run time "
+        help="risk level in (0, 1) for recommendations and SLO floors; "
+        "e.g. 0.9 = SLOs hold at the q90 of predicted run time "
         "(default: point estimates)",
     )
     replay.add_argument(

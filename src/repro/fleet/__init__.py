@@ -2,28 +2,15 @@
 
 Turns the per-job TASQ recommender into a cluster resource manager (the
 LeJOT direction): a :class:`GlobalAllocator` divides a cluster-wide
-token cap across concurrent jobs from their predicted PCCs, a
-:class:`FleetScheduler` admits jobs with allocator-chosen grants and
-redistributes released tokens, and :func:`compare_policies` measures
-cluster-wide makespan / wait / token-hours against the per-job TASQ and
-Default/Peak baselines. See ``docs/fleet.md``.
+token cap across concurrent jobs from their predicted PCCs by
+water-filling (:func:`water_fill`), a :class:`FleetScheduler` admits
+jobs with allocator-chosen grants and redistributes released tokens,
+and :func:`compare_policies` measures cluster-wide makespan / wait /
+token-hours against the per-job TASQ and Default/Peak baselines. See
+``docs/fleet.md``.
 """
 
-from repro.fleet.allocator import (
-    POLICY_NAMES,
-    AllocationPolicy,
-    DeadlineAwarePolicy,
-    GlobalAllocator,
-    KnapsackPolicy,
-    WaterFillingPolicy,
-    make_policy,
-)
-from repro.fleet.candidates import (
-    CandidateGrid,
-    pcc_grids,
-    skyline_grid,
-    token_grid,
-)
+from repro.fleet.allocator import GlobalAllocator, water_fill
 from repro.fleet.demand import FleetAllocation, JobDemand, TokenGrant
 from repro.fleet.evaluation import (
     BASELINE_NAMES,
@@ -45,16 +32,7 @@ __all__ = [
     "JobDemand",
     "TokenGrant",
     "FleetAllocation",
-    "CandidateGrid",
-    "token_grid",
-    "pcc_grids",
-    "skyline_grid",
-    "AllocationPolicy",
-    "WaterFillingPolicy",
-    "KnapsackPolicy",
-    "DeadlineAwarePolicy",
-    "make_policy",
-    "POLICY_NAMES",
+    "water_fill",
     "GlobalAllocator",
     "FleetJob",
     "FleetReport",

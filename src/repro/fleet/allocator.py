@@ -7,64 +7,31 @@ for. This module lifts the per-job PCCs to that level: given the fleet
 of jobs currently competing for the pool, a :class:`GlobalAllocator`
 divides a shared token cap among them.
 
-Three policies, in increasing order of structure:
-
-* :class:`WaterFillingPolicy` — continuous marginal-gain equalization.
-  Minimizing total predicted run time ``sum_i b_i A_i^{a_i}`` under
-  ``sum_i A_i <= C`` is a separable convex program; at the optimum every
-  interior job has the same marginal improvement per token
-  ``-a_i b_i A_i^{a_i - 1} = lambda``, so the whole fleet's allocation
-  is a one-dimensional bisection on the water level ``lambda``.
-* :class:`KnapsackPolicy` — a discrete greedy over per-job candidate
-  grids (:mod:`repro.fleet.candidates`), upgrading whichever job's next
-  candidate buys the most run-time reduction per token until the budget
-  is spent. Grids can be PCC-sampled or AREPAS ``sweep_runtimes``-backed.
-* :class:`DeadlineAwarePolicy` — raises each deadline job's floor to
-  ``tasq.price_performance.cheapest_within_deadline`` before delegating
-  the remaining budget to a base policy; when the floors cannot all fit
-  under the cap it degrades gracefully, shedding the most expensive
-  floors first instead of failing.
+The rule is water-filling (:func:`water_fill`). Minimizing total
+predicted run time ``sum_i b_i A_i^{a_i}`` under ``sum_i A_i <= C`` is a
+separable convex program; at the optimum every interior job has the
+same marginal improvement per token ``-a_i b_i A_i^{a_i - 1} = lambda``,
+so the whole fleet's allocation is a one-dimensional bisection on the
+water level ``lambda``. Protective floors (SLO or risk floors) and
+ceilings (the recommendation) are the demand's bounds; callers set them
+before the allocator runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.exceptions import FleetError
-from repro.fleet.candidates import CandidateGrid, pcc_grids
 from repro.fleet.demand import FleetAllocation, JobDemand, TokenGrant
 from repro.obs import get_registry, trace
-from repro.tasq.price_performance import cheapest_within_deadline
 
-__all__ = [
-    "AllocationPolicy",
-    "WaterFillingPolicy",
-    "KnapsackPolicy",
-    "DeadlineAwarePolicy",
-    "make_policy",
-    "POLICY_NAMES",
-    "GlobalAllocator",
-]
+__all__ = ["water_fill", "GlobalAllocator"]
 
-
-class AllocationPolicy:
-    """Interface: divide ``cap`` tokens among ``demands``.
-
-    Implementations return one integer grant per demand, in order, with
-    every grant inside ``[min_tokens, max_tokens]`` and the total never
-    above the cap. Callers guarantee ``sum(min_tokens) <= cap``.
-    """
-
-    name: str = "abstract"
-
-    def allocate(
-        self, demands: Sequence[JobDemand], cap: int
-    ) -> np.ndarray:
-        raise NotImplementedError
+#: Log-space bisection steps on the water level.
+_BISECTION_STEPS = 64
 
 
 def _bounds(demands: Sequence[JobDemand]) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +40,12 @@ def _bounds(demands: Sequence[JobDemand]) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-class WaterFillingPolicy(AllocationPolicy):
+def water_fill(demands: Sequence[JobDemand], cap: int) -> np.ndarray:
     """Equalize marginal run-time improvement per token across the fleet.
+
+    Returns one integer grant per demand, in order, each inside
+    ``[min_tokens, max_tokens]`` and summing to at most ``cap``; the
+    caller guarantees ``sum(min_tokens) <= cap``.
 
     The continuous optimum is found by bisecting the shared marginal
     gain ("water level"): each job's interior response to a level
@@ -83,252 +54,57 @@ class WaterFillingPolicy(AllocationPolicy):
     of leftover tokens (at most one per job) go to the jobs whose next
     token still buys the largest predicted run-time reduction.
     """
+    lo, hi = _bounds(demands)
+    hi = np.minimum(hi, cap)
+    a = np.array([d.pcc.a for d in demands], dtype=float)
+    b = np.array([d.pcc.b for d in demands], dtype=float)
+    if int(hi.sum()) <= cap:
+        return hi
 
-    name = "water_filling"
+    # Flat curves (a == 0) never benefit from extra tokens: pin them
+    # to their floor and keep them out of the water level entirely.
+    flat = a >= 0
+    if bool(flat.all()):
+        return lo.copy()
+    safe_a = np.where(flat, -1.0, a)
 
-    def __init__(self, iterations: int = 64) -> None:
-        if iterations < 1:
-            raise FleetError("bisection needs at least one iteration")
-        self.iterations = iterations
+    def grants_at(lam: float) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            interior = np.power(-safe_a * b / lam, 1.0 / (1.0 - safe_a))
+        interior = np.where(flat, lo, interior)
+        return np.clip(interior, lo, hi)
 
-    def allocate(
-        self, demands: Sequence[JobDemand], cap: int
-    ) -> np.ndarray:
-        lo, hi = _bounds(demands)
-        hi = np.minimum(hi, cap)
-        a = np.array([d.pcc.a for d in demands], dtype=float)
-        b = np.array([d.pcc.b for d in demands], dtype=float)
-        if int(hi.sum()) <= cap:
-            return hi
+    # Bracket the level: the highest/lowest marginal gain any job
+    # can exhibit inside its bounds.
+    gain_lo = -safe_a * b * np.power(hi.astype(float), safe_a - 1.0)
+    gain_hi = -safe_a * b * np.power(lo.astype(float), safe_a - 1.0)
+    lam_lo = max(float(gain_lo[~flat].min()) * 0.5, 1e-300)
+    lam_hi = max(float(gain_hi[~flat].max()) * 2.0, lam_lo * 2.0)
+    for _ in range(_BISECTION_STEPS):
+        lam = np.sqrt(lam_lo * lam_hi)  # bisect in log space
+        if float(grants_at(lam).sum()) > cap:
+            lam_lo = lam  # too generous: raise the bar
+        else:
+            lam_hi = lam
+    continuous = grants_at(lam_hi)
 
-        # Flat curves (a == 0) never benefit from extra tokens: pin them
-        # to their floor and keep them out of the water level entirely.
-        flat = a >= 0
-        if bool(flat.all()):
-            return lo.copy()
-        safe_a = np.where(flat, -1.0, a)
-
-        def grants_at(lam: float) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):
-                interior = np.power(
-                    -safe_a * b / lam, 1.0 / (1.0 - safe_a)
-                )
-            interior = np.where(flat, lo, interior)
-            return np.clip(interior, lo, hi)
-
-        # Bracket the level: the highest/lowest marginal gain any job
-        # can exhibit inside its bounds.
-        gain_lo = -safe_a * b * np.power(hi.astype(float), safe_a - 1.0)
-        gain_hi = -safe_a * b * np.power(lo.astype(float), safe_a - 1.0)
-        lam_lo = max(float(gain_lo[~flat].min()) * 0.5, 1e-300)
-        lam_hi = max(float(gain_hi[~flat].max()) * 2.0, lam_lo * 2.0)
-        for _ in range(self.iterations):
-            lam = np.sqrt(lam_lo * lam_hi)  # bisect in log space
-            if float(grants_at(lam).sum()) > cap:
-                lam_lo = lam  # too generous: raise the bar
-            else:
-                lam_hi = lam
-        continuous = grants_at(lam_hi)
-
-        grants = np.maximum(np.floor(continuous).astype(np.int64), lo)
-        leftover = cap - int(grants.sum())
-        if leftover > 0:
-            # Flooring freed at most one token per job; hand them back
-            # in order of the marginal gain of each job's next token.
-            upgradable = grants < hi
-            next_gain = b * (
-                np.power(grants.astype(float), safe_a)
-                - np.power(grants.astype(float) + 1.0, safe_a)
-            )
-            next_gain[~upgradable | flat] = -np.inf
-            order = np.argsort(-next_gain)
-            for idx in order[:leftover]:
-                if next_gain[idx] == -np.inf:
-                    break
-                grants[idx] += 1
-        return grants
-
-
-class KnapsackPolicy(AllocationPolicy):
-    """Greedy discrete upgrades over per-job candidate grids.
-
-    Every job starts at its smallest candidate; a heap of "next upgrade"
-    steps (ordered by run-time reduction per token along each grid's
-    concave envelope) spends the remaining budget on the globally best
-    step until nothing else fits. For concave grids this greedy is the
-    exact optimum of the continuous relaxation rounded down — in
-    practice within one candidate of the true discrete knapsack answer,
-    at a tiny fraction of its cost.
-    """
-
-    name = "knapsack"
-
-    def __init__(self, num_points: int = 16) -> None:
-        if num_points < 2:
-            raise FleetError("candidate grids need at least two points")
-        self.num_points = num_points
-
-    def _grids(self, demands: Sequence[JobDemand]) -> list[CandidateGrid]:
-        for demand in demands:
-            if demand.grid is not None and (
-                demand.grid.min_tokens < demand.min_tokens
-                or demand.grid.max_tokens > demand.max_tokens
-            ):
-                raise FleetError(
-                    f"candidate grid for {demand.job_id} falls outside "
-                    "its demand bounds"
-                )
-        missing = [i for i, d in enumerate(demands) if d.grid is None]
-        grids: list[CandidateGrid | None] = [d.grid for d in demands]
-        if missing:
-            built = pcc_grids(
-                a=np.array([demands[i].pcc.a for i in missing]),
-                b=np.array([demands[i].pcc.b for i in missing]),
-                min_tokens=np.array([demands[i].min_tokens for i in missing]),
-                max_tokens=np.array([demands[i].max_tokens for i in missing]),
-                num_points=self.num_points,
-            )
-            for i, grid in zip(missing, built):
-                grids[i] = grid
-        return grids  # type: ignore[return-value]
-
-    def allocate(
-        self, demands: Sequence[JobDemand], cap: int
-    ) -> np.ndarray:
-        grids = self._grids(demands)
-        grants = np.array(
-            [g.min_tokens for g in grids], dtype=np.int64
+    grants = np.maximum(np.floor(continuous).astype(np.int64), lo)
+    leftover = cap - int(grants.sum())
+    if leftover > 0:
+        # Flooring freed at most one token per job; hand them back
+        # in order of the marginal gain of each job's next token.
+        upgradable = grants < hi
+        next_gain = b * (
+            np.power(grants.astype(float), safe_a)
+            - np.power(grants.astype(float) + 1.0, safe_a)
         )
-        lo, _ = _bounds(demands)
-        grants = np.maximum(grants, lo)
-        budget = cap - int(grants.sum())
-        if budget < 0:
-            raise FleetError("candidate floors exceed the cap")
-
-        # Heap of (-gain_per_token, job, step_position); each job's
-        # steps are walked in envelope order, so pushing only the next
-        # step keeps the heap small.
-        steps = [g.concave_steps() for g in grids]
-        heap: list[tuple[float, int, int]] = []
-        for job, job_steps in enumerate(steps):
-            if job_steps:
-                heap.append((-job_steps[0][2], job, 0))
-        heapq.heapify(heap)
-        positions = [0] * len(demands)
-        while heap and budget > 0:
-            neg_gain, job, pos = heapq.heappop(heap)
-            i, j, _ = steps[job][pos]
-            cost = int(grids[job].tokens[j] - grids[job].tokens[i])
-            if cost > budget:
-                continue  # this job's later steps only cost more
-            budget -= cost
-            grants[job] = int(grids[job].tokens[j])
-            positions[job] = pos + 1
-            if pos + 1 < len(steps[job]):
-                heapq.heappush(
-                    heap, (-steps[job][pos + 1][2], job, pos + 1)
-                )
-        return grants
-
-
-class DeadlineAwarePolicy(AllocationPolicy):
-    """Honor per-job deadlines first, then optimize the rest.
-
-    Each deadline job's floor is raised to the cheapest allocation whose
-    predicted run time meets the deadline
-    (:func:`~repro.tasq.price_performance.cheapest_within_deadline`).
-    Infeasible deadlines — individually (even ``max_tokens`` misses) or
-    collectively (the raised floors overflow the cap) — degrade
-    gracefully: the individually infeasible keep their original bounds,
-    and collectively the most token-hungry raises are relaxed first
-    until the floors fit, so the allocator never fails where a best
-    effort is possible.
-
-    With ``risk=`` set, a demand that carries a non-degenerate
-    ``pcc_interval`` has its deadline floor computed against the
-    interval's risk-quantile curve instead of the median — "enough
-    tokens that the deadline holds with probability ``risk``" (see
-    ``docs/uncertainty.md``). Demands without intervals keep the
-    point-estimate floor.
-    """
-
-    name = "deadline"
-
-    def __init__(
-        self,
-        base: AllocationPolicy | None = None,
-        risk: float | None = None,
-    ) -> None:
-        if risk is not None and not 0.0 < risk < 1.0:
-            raise FleetError("risk must be inside (0, 1)")
-        self.base = base or WaterFillingPolicy()
-        self.risk = risk
-
-    def allocate(
-        self, demands: Sequence[JobDemand], cap: int
-    ) -> np.ndarray:
-        floors = []
-        for demand in demands:
-            floor = demand.min_tokens
-            if demand.deadline is not None:
-                interval = demand.pcc_interval
-                use_risk = (
-                    self.risk is not None
-                    and interval is not None
-                    and not interval.is_degenerate
-                )
-                needed = cheapest_within_deadline(
-                    demand.pcc,
-                    demand.deadline,
-                    min_tokens=demand.min_tokens,
-                    max_tokens=demand.max_tokens,
-                    interval=interval if use_risk else None,
-                    risk=self.risk if use_risk else None,
-                )
-                if needed is not None:
-                    floor = max(floor, needed)
-            floors.append(floor)
-
-        # Collectively infeasible: relax the largest raises first.
-        base_floors = [d.min_tokens for d in demands]
-        total = sum(floors)
-        if total > cap:
-            by_raise = sorted(
-                range(len(demands)),
-                key=lambda i: floors[i] - base_floors[i],
-                reverse=True,
-            )
-            for i in by_raise:
-                if total <= cap:
-                    break
-                total -= floors[i] - base_floors[i]
-                floors[i] = base_floors[i]
-
-        raised = [
-            dataclasses.replace(d, min_tokens=floor, deadline=None)
-            if floor != d.min_tokens
-            else d
-            for d, floor in zip(demands, floors)
-        ]
-        return self.base.allocate(raised, cap)
-
-
-_POLICIES = {
-    WaterFillingPolicy.name: WaterFillingPolicy,
-    KnapsackPolicy.name: KnapsackPolicy,
-    DeadlineAwarePolicy.name: DeadlineAwarePolicy,
-}
-POLICY_NAMES = tuple(sorted(_POLICIES))
-
-
-def make_policy(name: str) -> AllocationPolicy:
-    """Instantiate a policy by its registry name."""
-    try:
-        return _POLICIES[name]()
-    except KeyError:
-        raise FleetError(
-            f"unknown policy {name!r}; choose from {POLICY_NAMES}"
-        ) from None
+        next_gain[~upgradable | flat] = -np.inf
+        order = np.argsort(-next_gain)
+        for idx in order[:leftover]:
+            if next_gain[idx] == -np.inf:
+                break
+            grants[idx] += 1
+    return grants
 
 
 class GlobalAllocator:
@@ -338,17 +114,12 @@ class GlobalAllocator:
     ----------
     cap:
         The cluster's guaranteed-token pool size.
-    policy:
-        An :class:`AllocationPolicy` instance or registry name.
     """
 
-    def __init__(
-        self, cap: int, policy: AllocationPolicy | str = "water_filling"
-    ) -> None:
+    def __init__(self, cap: int) -> None:
         if cap < 1:
             raise FleetError("cluster cap must be positive")
         self.cap = cap
-        self.policy = make_policy(policy) if isinstance(policy, str) else policy
 
     def allocate(
         self, demands: Sequence[JobDemand], cap: int | None = None
@@ -376,26 +147,17 @@ class GlobalAllocator:
                 f"{cap} are available"
             )
 
-        with trace.span(
-            "fleet.allocate", jobs=len(demands), cap=cap,
-            policy=self.policy.name,
-        ):
-            grants = np.asarray(
-                self.policy.allocate(demands, cap), dtype=np.int64
-            )
+        with trace.span("fleet.allocate", jobs=len(demands), cap=cap):
+            grants = water_fill(demands, cap)
         lo, hi = _bounds(demands)
-        if grants.shape != lo.shape:
-            raise FleetError("policy returned a misaligned grant vector")
         if np.any(grants < lo) or np.any(grants > hi):
-            raise FleetError("policy violated a demand's grant bounds")
+            raise FleetError("allocation violated a demand's grant bounds")
         if int(grants.sum()) > cap:
-            raise FleetError("policy exceeded the allocation cap")
+            raise FleetError("allocation exceeded the cap")
 
         if trace.enabled:
             registry = get_registry()
-            registry.counter(
-                "fleet_allocations", policy=self.policy.name
-            ).increment()
+            registry.counter("fleet_allocations").increment()
             histogram = registry.histogram("fleet_tokens_granted")
             for grant in grants:
                 histogram.record(float(grant))
@@ -410,7 +172,6 @@ class GlobalAllocator:
                 for demand, grant in zip(demands, grants)
             ),
             cap=cap,
-            policy=self.policy.name,
         )
 
     def budget_recommendations(self, recommendations, cap=None):

@@ -9,16 +9,11 @@ a :class:`FleetAllocation`: one integer :class:`TokenGrant` per job whose
 sum never exceeds the cluster cap.
 
 **Point-estimate assumption, made explicit.** ``pcc`` is the *median*
-predicted curve; every marginal-gain comparison the policies make treats
-it as exact, so two jobs with equal medians but wildly different
-prediction spread look identical to the allocator. A demand may
-therefore also carry the model's full predicted interval
-(``pcc_interval`` — the q10/q50/q90 curves). Policies that enforce hard
-promises (deadlines) can then work against a risk quantile of the
-run-time distribution via
-:class:`~repro.fleet.allocator.DeadlineAwarePolicy`'s ``risk=`` knob
-instead of the median; policies that only rank marginal gains keep using
-``pcc`` unchanged (see ``docs/uncertainty.md``).
+predicted curve, and the allocator treats it as exact: two jobs with
+equal medians but very different prediction spread look identical to
+it. Prediction risk enters only through the bounds. The replay raises a
+demand's floor to the risk-quantile slowdown floor before the allocator
+sees it (see ``docs/uncertainty.md``).
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import FleetError
-from repro.fleet.candidates import CandidateGrid
 from repro.pcc.curve import PowerLawPCC
-from repro.pcc.intervals import PCCInterval
 
 __all__ = ["JobDemand", "TokenGrant", "FleetAllocation"]
 
@@ -47,25 +40,12 @@ class JobDemand:
         Grant bounds. ``min_tokens`` is the protective floor (the job is
         never squeezed below it); ``max_tokens`` is usually the requested
         allocation (granting more than asked wastes budget).
-    deadline:
-        Optional run-time bound in seconds; only the deadline-aware
-        policy reads it.
-    grid:
-        Optional precomputed candidate grid (e.g. AREPAS-backed); the
-        knapsack policy uses it instead of sampling the PCC.
-    pcc_interval:
-        Optional predicted q10/q50/q90 curves around ``pcc``. Read only
-        by risk-aware policies; when None (or degenerate) every policy
-        behaves exactly as with the point estimate.
     """
 
     job_id: str
     pcc: PowerLawPCC
     min_tokens: int = 1
     max_tokens: int = 256
-    deadline: float | None = None
-    grid: CandidateGrid | None = None
-    pcc_interval: PCCInterval | None = None
 
     def __post_init__(self) -> None:
         if self.min_tokens < 1:
@@ -80,8 +60,6 @@ class JobDemand:
                 "global allocation needs a non-increasing PCC "
                 f"(job {self.job_id} has a={self.pcc.a:+.3f})"
             )
-        if self.deadline is not None and self.deadline <= 0:
-            raise FleetError("deadlines must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,7 +77,6 @@ class FleetAllocation:
 
     grants: tuple[TokenGrant, ...]
     cap: int
-    policy: str
 
     @property
     def total_tokens(self) -> int:

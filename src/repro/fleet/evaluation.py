@@ -1,4 +1,4 @@
-"""Cluster-wide evaluation: global policies vs. per-job baselines.
+"""Cluster-wide evaluation: global allocation vs. per-job baselines.
 
 Replays one arrival stream of historical jobs through the shared token
 pool under every allocation regime the repo knows:
@@ -9,8 +9,10 @@ pool under every allocation regime the repo knows:
   per-job baseline: no slowdown, minimal holding);
 * **tasq** — per-job TASQ recommendations, each job optimized in
   isolation (the motivation benchmark's treatment arm);
-* **fleet/<policy>** — the :class:`~repro.fleet.scheduler.FleetScheduler`
-  grants tokens globally from the predicted PCCs under the cap.
+* **fleet/water_filling** — the
+  :class:`~repro.fleet.scheduler.FleetScheduler` grants tokens globally
+  from the predicted PCCs under the cap, topping up running jobs from
+  idle tokens.
 
 Granted allocations are replayed against each job's *observed* skyline
 through AREPAS, so every regime pays its true run-time cost while the
@@ -123,15 +125,12 @@ def build_demands(
     records: list[TelemetryRecord],
     recommendations: list[TokenRecommendation],
     slowdown_floor: float = 0.25,
-    deadline_slack: float | None = None,
 ) -> list[JobDemand]:
     """Fleet demands from predicted PCCs, floored by a slowdown SLO.
 
     Each job may be squeezed down to the smallest allocation whose
     *predicted* slowdown versus the requested tokens stays within
-    ``slowdown_floor``, and never granted more than it requested. With
-    ``deadline_slack`` set, each job additionally carries a deadline of
-    ``(1 + slack) x`` its predicted run time at the requested tokens.
+    ``slowdown_floor``, and never granted more than it requested.
     """
     demands = []
     for record, rec in zip(records, recommendations):
@@ -139,18 +138,12 @@ def build_demands(
             rec.pcc, record.requested_tokens, slowdown_floor
         )
         floor = min(floor, record.requested_tokens)
-        deadline = None
-        if deadline_slack is not None:
-            deadline = float(
-                (1.0 + deadline_slack) * rec.predicted_runtime_at_requested
-            )
         demands.append(
             JobDemand(
                 job_id=record.job_id,
                 pcc=rec.pcc,
                 min_tokens=max(1, floor),
                 max_tokens=record.requested_tokens,
-                deadline=deadline,
             )
         )
     return demands
@@ -180,18 +173,19 @@ def compare_policies(
     records: list[TelemetryRecord],
     recommendations: list[TokenRecommendation],
     capacity: int | None = None,
-    policies: tuple[str, ...] = ("water_filling", "knapsack"),
     arrival_mean_s: float = 15.0,
     seed: int = 7,
     slowdown_floor: float = 0.25,
-    deadline_slack: float | None = None,
-    reallocate_running: bool = True,
 ) -> FleetComparison:
     """Run every regime over one seeded Poisson arrival stream."""
     if len(records) != len(recommendations):
         raise FleetError("records and recommendations must align")
     if not records:
         raise FleetError("nothing to compare")
+    if not arrival_mean_s > 0:
+        raise FleetError(
+            f"mean inter-arrival gap must be positive, got {arrival_mean_s}"
+        )
     if capacity is None:
         capacity = max(r.requested_tokens for r in records)
 
@@ -244,10 +238,7 @@ def compare_policies(
     )
 
     demands = build_demands(
-        records,
-        recommendations,
-        slowdown_floor=slowdown_floor,
-        deadline_slack=deadline_slack,
+        records, recommendations, slowdown_floor=slowdown_floor
     )
     demands = [
         dataclasses.replace(
@@ -271,17 +262,12 @@ def compare_policies(
         )
         for demand, t in zip(demands, arrivals)
     ]
-    for policy in policies:
-        scheduler = FleetScheduler(
-            capacity,
-            policy=policy,
-            reallocate_running=reallocate_running,
+    scheduler = FleetScheduler(capacity, reallocate_running=True)
+    outcomes.append(
+        PolicyOutcome.from_report(
+            "fleet/water_filling", scheduler.run(fleet_jobs)
         )
-        outcomes.append(
-            PolicyOutcome.from_report(
-                f"fleet/{policy}", scheduler.run(fleet_jobs)
-            )
-        )
+    )
 
     return FleetComparison(
         outcomes=tuple(outcomes),

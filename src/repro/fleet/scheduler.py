@@ -42,7 +42,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.exceptions import ExecutionError, FleetError
-from repro.fleet.allocator import AllocationPolicy, GlobalAllocator
+from repro.fleet.allocator import GlobalAllocator
 from repro.fleet.demand import JobDemand
 from repro.obs import trace
 from repro.pcc.curve import PowerLawPCC
@@ -75,8 +75,11 @@ class FleetJob:
     runtime_fn: Callable[[int], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ExecutionError("arrival times must be non-negative")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ExecutionError(
+                f"job {self.job_id}: arrival time must be finite and "
+                f"non-negative, got {self.arrival_time}"
+            )
 
     @classmethod
     def fixed(
@@ -85,13 +88,16 @@ class FleetJob:
         """A job that holds exactly ``tokens`` for exactly ``runtime``.
 
         Both grant bounds are ``tokens`` and the PCC is flat at
-        ``runtime``, so every policy grants the request unchanged and
+        ``runtime``, so the allocator grants the request unchanged and
         re-allocation never tops the job up.
         """
         if tokens < 1:
             raise ExecutionError("queued jobs need at least one token")
-        if runtime <= 0:
-            raise ExecutionError("queued jobs need a positive run time")
+        if not 0 < runtime < math.inf:
+            raise ExecutionError(
+                f"job {job_id}: run time must be positive and finite, "
+                f"got {runtime}"
+            )
         return cls(
             job_id=job_id,
             arrival_time=arrival_time,
@@ -110,7 +116,7 @@ class FleetJob:
             else self.demand.pcc.runtime(tokens)
         )
         runtime = float(runtime)
-        if runtime <= 0:
+        if not runtime > 0:
             raise ExecutionError(
                 f"job {self.job_id} reported a non-positive run time"
             )
@@ -121,7 +127,6 @@ class FleetJob:
 class FleetReport(QueueReport):
     """Queue statistics plus fleet-level accounting."""
 
-    policy: str
     #: Highest number of simultaneously committed tokens observed.
     peak_committed_tokens: int
     #: How many times running jobs were topped up from freed tokens.
@@ -249,7 +254,6 @@ class FleetStream:
                 sorted(self._outcomes, key=lambda o: (o.start_time, o.job_id))
             ),
             capacity=self.capacity,
-            policy=self._allocator.policy.name,
             peak_committed_tokens=self._peak_committed,
             reallocations=self._reallocations,
             backfills=self._backfills,
@@ -470,9 +474,6 @@ class FleetScheduler:
     ----------
     capacity:
         Cluster-wide guaranteed-token pool, in tokens (not job slots).
-    policy:
-        Allocation policy instance or registry name; used to build the
-        internal :class:`GlobalAllocator` unless ``allocator`` is given.
     reallocate_running:
         When True, tokens left idle after the queue drains are granted
         to running jobs, rescaling their remaining run time by the
@@ -485,8 +486,6 @@ class FleetScheduler:
     def __init__(
         self,
         capacity: int,
-        policy: AllocationPolicy | str = "water_filling",
-        allocator: GlobalAllocator | None = None,
         reallocate_running: bool = False,
         admission: str = "fcfs",
     ) -> None:
@@ -498,7 +497,7 @@ class FleetScheduler:
                 f"known: {', '.join(ADMISSION_ORDERS)}"
             )
         self.capacity = capacity
-        self.allocator = allocator or GlobalAllocator(capacity, policy)
+        self.allocator = GlobalAllocator(capacity)
         self.reallocate_running = reallocate_running
         self.admission = admission
 
@@ -508,10 +507,7 @@ class FleetScheduler:
 
     def run(self, jobs: list[FleetJob]) -> FleetReport:
         """Simulate the stream with allocator-chosen grants."""
-        with trace.span(
-            "fleet.schedule", jobs=len(jobs),
-            policy=self.allocator.policy.name,
-        ):
+        with trace.span("fleet.schedule", jobs=len(jobs)):
             stream = self.stream()
             for job in sorted(
                 jobs, key=lambda j: (j.arrival_time, j.job_id)

@@ -78,8 +78,10 @@ def tokens_for_slowdown(
     """
     if reference_tokens <= 0:
         raise FittingError("reference token count must be positive")
-    if max_slowdown < 0:
-        raise FittingError("slowdown budget must be non-negative")
+    if not max_slowdown >= 0:
+        raise FittingError(
+            f"slowdown budget must be non-negative, got {max_slowdown}"
+        )
     if not pcc.is_non_increasing:
         raise FittingError("slowdown search requires a non-increasing PCC")
 

@@ -19,6 +19,7 @@ Four families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,17 +65,21 @@ class ArrivalSpec:
                 f"unknown arrival kind {self.kind!r}; "
                 f"known: {', '.join(ARRIVAL_KINDS)}"
             )
-        if self.mean_gap_s <= 0:
-            raise ReplayError("mean inter-arrival gap must be positive")
+        # Written so that NaN fails every check. An infinite gap or
+        # burst factor would divide by a zero rate or never end a burst.
+        if not 0 < self.mean_gap_s < math.inf:
+            raise ReplayError(
+                "mean inter-arrival gap must be positive and finite"
+            )
         if not 0 <= self.amplitude < 1:
             raise ReplayError("diurnal amplitude must be in [0, 1)")
-        if self.period_s <= 0:
+        if not self.period_s > 0:
             raise ReplayError("diurnal period must be positive")
-        if self.burst_factor < 1:
-            raise ReplayError("burst factor must be at least 1")
+        if not 1 <= self.burst_factor < math.inf:
+            raise ReplayError("burst factor must be finite and at least 1")
         if not 0 <= self.burst_fraction < 1:
             raise ReplayError("burst fraction must be in [0, 1)")
-        if self.burst_mean_s <= 0:
+        if not self.burst_mean_s > 0:
             raise ReplayError("burst length must be positive")
         if self.kind == "trace":
             if not self.trace:
@@ -90,8 +95,8 @@ def arrival_times(
     spec: ArrivalSpec, duration_s: float, rng: np.random.Generator
 ) -> np.ndarray:
     """All arrival timestamps in ``[0, duration_s)`` for one tenant."""
-    if duration_s <= 0:
-        raise ReplayError("replay duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ReplayError("replay duration must be positive and finite")
     if spec.kind == "poisson":
         times = _poisson(1.0 / spec.mean_gap_s, duration_s, rng)
     elif spec.kind == "diurnal":
@@ -172,7 +177,7 @@ def _bursty(
 
 
 def load_trace(path: str | Path) -> tuple[float, ...]:
-    """Parse a trace file: one non-negative timestamp per line.
+    """Parse a trace file: one finite, non-negative timestamp per line.
 
     Blank lines and ``#`` comments are ignored; timestamps are sorted.
     """
@@ -186,9 +191,9 @@ def load_trace(path: str | Path) -> tuple[float, ...]:
         try:
             value = float(line)
         except ValueError:
-            raise ReplayError(
-                f"{path}:{lineno}: not a timestamp: {line!r}"
-            ) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ReplayError(f"{path}:{lineno}: not a timestamp: {line!r}")
         if value < 0:
             raise ReplayError(f"{path}:{lineno}: negative timestamp")
         values.append(value)

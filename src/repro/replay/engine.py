@@ -25,10 +25,11 @@ by the generator's pure-function-of-(seed, index) design).
 The paper's regimes map onto admission like so: ``default`` holds the
 user request, ``peak`` is the clairvoyant per-job baseline (exactly the
 observed peak), ``tasq`` holds the server's per-job recommendation, and
-the fleet policies (``water_filling`` / ``knapsack`` / ``deadline``)
-let the global allocator squeeze grants between an SLO floor and the
-server's recommendation. Degraded (fallback) answers always admit at a
-fixed grant — their flat PCC carries no squeeze information.
+``water_filling`` lets the global allocator squeeze grants between an
+SLO floor (raised to the risk quantile under ``risk``) and the server's
+recommendation, then top up running jobs from idle tokens. Degraded
+(fallback) answers always admit at a fixed grant — their flat PCC
+carries no squeeze information.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ReplayError
-from repro.fleet import POLICY_NAMES, FleetJob, FleetScheduler, JobDemand
-from repro.fleet.allocator import DeadlineAwarePolicy
+from repro.fleet import FleetJob, FleetScheduler, JobDemand
 from repro.models import build_dataset
 from repro.models.xgboost_models import XGBoostPL
 from repro.obs import trace
@@ -67,8 +67,8 @@ from repro.tasq.monitoring import PredictionMonitor
 
 __all__ = ["REPLAY_POLICIES", "ReplayConfig", "ReplayEngine", "run_replay"]
 
-#: Baseline regimes plus every global-allocator policy.
-REPLAY_POLICIES = ("default", "peak", "tasq") + POLICY_NAMES
+#: Baseline regimes plus the global allocator.
+REPLAY_POLICIES = ("default", "peak", "tasq", "water_filling")
 
 _MODEL_NAME = "replay-pl"
 
@@ -85,18 +85,13 @@ class ReplayConfig:
     capacity: int | None = None
     #: Historical jobs executed up-front to train the serving model.
     bootstrap_jobs: int = 120
-    #: Fleet-policy SLO: never squeeze a job beyond this predicted
-    #: slowdown versus its request.
+    #: Fleet SLO: never squeeze a job beyond this predicted slowdown
+    #: versus its request.
     slowdown_floor: float = 0.25
-    #: Deadline policy: per-job deadline as (1+slack) x predicted run
-    #: time at the requested tokens.
-    deadline_slack: float = 0.25
     admission: str = "fcfs"
-    #: Top up running jobs from idle tokens (fleet policies only).
-    reallocate_running: bool = True
     #: Refit + hot-swap the model when the drift monitor fires.
     retrain: bool = False
-    #: Risk level for recommendations and deadline floors (None = point
+    #: Risk level for recommendations and SLO floors (None = point
     #: estimates; see ``docs/uncertainty.md``). Enables quantile heads
     #: on the serving model.
     risk: float | None = None
@@ -116,8 +111,8 @@ class ReplayConfig:
                 f"unknown replay policy {self.policy!r}; "
                 f"known: {', '.join(REPLAY_POLICIES)}"
             )
-        if self.duration_s <= 0:
-            raise ReplayError("replay duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ReplayError("replay duration must be positive and finite")
         if self.bootstrap_jobs < 10:
             raise ReplayError(
                 "bootstrapping a model needs at least 10 jobs"
@@ -388,26 +383,11 @@ class ReplayEngine:
                 lo, min(capacity, response.recommendation.optimal_tokens)
             )
 
-        deadline = None
-        if cfg.policy == "deadline" and model_backed:
-            deadline = float(
-                (1.0 + cfg.deadline_slack)
-                * response.recommendation.predicted_runtime_at_requested
-            )
         return FleetJob(
             job_id=event.ref,
             arrival_time=event.time,
             demand=JobDemand(
-                job_id=event.ref,
-                pcc=pcc,
-                min_tokens=lo,
-                max_tokens=hi,
-                deadline=deadline,
-                pcc_interval=(
-                    response.recommendation.pcc_interval
-                    if model_backed
-                    else None
-                ),
+                job_id=event.ref, pcc=pcc, min_tokens=lo, max_tokens=hi
             ),
             runtime_fn=runtime_fn,
         )
@@ -487,19 +467,11 @@ class ReplayEngine:
         events = self._arrivals()
         capacity = self._capacity(events)
 
-        fleet_policy: str | DeadlineAwarePolicy = (
-            cfg.policy if cfg.policy in POLICY_NAMES else "water_filling"
-        )
-        if cfg.policy == "deadline" and cfg.risk is not None:
-            fleet_policy = DeadlineAwarePolicy(risk=cfg.risk)
         scheduler = FleetScheduler(
             capacity,
-            policy=fleet_policy,
-            # Baselines are fixed-grant by definition; only the fleet
-            # policies may spend idle tokens on running jobs.
-            reallocate_running=(
-                cfg.reallocate_running and cfg.policy in POLICY_NAMES
-            ),
+            # Baselines are fixed-grant by definition; only the global
+            # allocator may spend idle tokens on running jobs.
+            reallocate_running=cfg.policy == "water_filling",
             admission=cfg.admission,
         )
         stream = scheduler.stream()

@@ -53,7 +53,7 @@ class TenantSpec:
                 f"unknown workload family {self.family!r}; "
                 f"known: {', '.join(FAMILY_NAMES)}"
             )
-        if self.slo_slowdown < 1:
+        if not self.slo_slowdown >= 1:
             raise ReplayError("slowdown SLOs below 1 are unattainable")
         if (self.shift_family is None) != (self.shift_at_s is None):
             raise ReplayError(

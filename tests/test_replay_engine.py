@@ -117,7 +117,9 @@ class TestPolicies:
 
     def test_backfill_admission_is_reported(self):
         report = run_replay(
-            ReplayConfig(**SMALL, policy="knapsack", admission="backfill")
+            ReplayConfig(
+                **SMALL, policy="water_filling", admission="backfill"
+            )
         )
         assert report.admission == "backfill"
 

@@ -1,5 +1,6 @@
 """Unit tests for loss-weight tuning and the command-line interface."""
 
+import json
 import os
 import pickle
 import subprocess
@@ -42,6 +43,16 @@ class MarkedIncreasing(PCCPredictor):
                 for e in dataset.examples
             ]
         )
+
+
+@pytest.fixture(scope="module")
+def repo_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "hist.npz"
+    code = main(
+        ["generate", "--jobs", "25", "--seed", "4", "--out", str(path)]
+    )
+    assert code == 0
+    return path
 
 
 class TestWeightTuning:
@@ -107,15 +118,6 @@ class TestCLI:
         for command in ("generate", "stats", "train", "score", "whatif",
                         "flight"):
             assert command in text
-
-    @pytest.fixture(scope="class")
-    def repo_file(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli") / "hist.npz"
-        code = main(
-            ["generate", "--jobs", "25", "--seed", "4", "--out", str(path)]
-        )
-        assert code == 0
-        return path
 
     def test_stats(self, repo_file, capsys):
         assert main(["stats", "--repo", str(repo_file)]) == 0
@@ -200,14 +202,39 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "AREPAS error" in out
 
+    def test_fleet_compares_every_regime(self, repo_file, tmp_path):
+        out = tmp_path / "x.json"
+        code = main(["fleet", "--repo", str(repo_file), "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())["policies"]
+        assert sorted(rows) == [
+            "default", "fleet/water_filling", "peak", "tasq"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--policy", "knapsack"],
+            ["fleet", "--repo", "hist.npz", "--deadline-slack", "0.1"],
+        ],
+        ids=["replay-knapsack", "fleet-deadline-slack"],
+    )
+    def test_removed_fleet_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
 
 class TestCleanExits:
     """Typed failures and unreadable inputs exit 2 with one stderr line."""
 
-    def fails_cleanly(self, capsys, argv):
+    def fails_cleanly(self, capsys, argv, message=""):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"repro {argv[0]}: ")
+        assert err.count("\n") == 1
+        assert message in err
         assert "Traceback" not in err
 
     def test_missing_repository(self, tmp_path, capsys):
@@ -242,6 +269,55 @@ class TestCleanExits:
         self.fails_cleanly(
             capsys,
             ["replay", "--arrival", "trace", "--trace-file", str(trace)],
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--arrival-mean", "-1", "inter-arrival gap"),
+            ("--arrival-mean", "0", "inter-arrival gap"),
+            ("--arrival-mean", "nan", "inter-arrival gap"),
+            ("--slowdown-floor", "nan", "slowdown budget"),
+        ],
+        ids=["negative-gap", "zero-gap", "nan-gap", "nan-slowdown-floor"],
+    )
+    def test_bad_fleet_number(
+        self, repo_file, tmp_path, capsys, flag, value, message
+    ):
+        model_path = tmp_path / "model.pkl"
+        model_path.write_bytes(pickle.dumps(MarkedIncreasing(())))
+        self.fails_cleanly(
+            capsys,
+            [
+                "fleet", "--repo", str(repo_file),
+                "--model", str(model_path), flag, value,
+            ],
+            message,
+        )
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--duration", "duration"),
+            ("--mean-gap", "inter-arrival gap"),
+            ("--slo-slowdown", "slowdown SLOs"),
+        ],
+        ids=["duration", "mean-gap", "slo-slowdown"],
+    )
+    def test_nan_replay_number(self, capsys, flag, message):
+        self.fails_cleanly(capsys, ["replay", flag, "nan"], message)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_trace_timestamp(self, tmp_path, capsys, value):
+        trace = tmp_path / "arrivals.txt"
+        trace.write_text(f"0.0\n12.5\n{value}\n")
+        self.fails_cleanly(
+            capsys,
+            [
+                "replay", "--arrival", "trace", "--trace-file", str(trace),
+                "--tiny",
+            ],
+            "not a timestamp",
         )
 
     def test_process_exit_code(self, tmp_path):
