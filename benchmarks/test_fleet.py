@@ -22,9 +22,10 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import compare_policies, score_usable
-from repro.models import XGBoostPL, build_dataset
+from repro.models import build_dataset
 from repro.scope import WorkloadGenerator, run_workload
 from repro.tasq import ScoringPipeline
+from repro.tasq.pipeline import fit_serving_model
 
 _RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -39,7 +40,7 @@ def fleet_records():
     """A self-contained 150-job workload plus usable recommendations."""
     generator = WorkloadGenerator(seed=2022)
     repository = run_workload(generator.generate(_JOBS), seed=0)
-    model = XGBoostPL(seed=0).fit(build_dataset(repository))
+    model = fit_serving_model(build_dataset(repository), 0)
     scorer = ScoringPipeline(
         model, improvement_threshold=10.0, max_slowdown=0.10
     )

@@ -32,13 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import FittingError
-from repro.models import XGBoostPL, build_dataset
+from repro.models import build_dataset
 from repro.replay import ReplayConfig, ReplayEngine, TenantSpec
 from repro.replay.arrivals import ArrivalSpec
 from repro.scope import WorkloadGenerator, run_workload
 from repro.scope.execution import ClusterExecutor
 from repro.scope.stages import decompose_stages
-from repro.tasq.pipeline import ScoringPipeline
+from repro.tasq.pipeline import ScoringPipeline, fit_serving_model
 from repro.tasq.price_performance import cheapest_within_deadline
 
 _RESULTS_DIR = Path(__file__).parent / "results"
@@ -80,9 +80,7 @@ def _risk_deadline_study() -> dict:
     repository = run_workload(
         train_jobs, executor=executor, seed=_DEADLINE_RUN_SEED
     )
-    model = XGBoostPL(seed=0, quantile_heads=True).fit(
-        build_dataset(repository)
-    )
+    model = fit_serving_model(build_dataset(repository), 0, intervals=True)
 
     held_out = WorkloadGenerator(seed=_DEADLINE_HELDOUT_SEED).generate(
         _DEADLINE_HELDOUT_JOBS

@@ -43,7 +43,7 @@ from repro.scope import (
     WorkloadGenerator,
     run_workload,
 )
-from repro.serving import AllocationServer, LoadGenerator, ServerConfig
+from repro.serving import AllocationServer, ServerConfig
 from repro.skyline import Skyline
 from repro.tasq import (
     ScoringPipeline,
@@ -84,6 +84,5 @@ __all__ = [
     "AllocationServer",
     "ServerConfig",
     "MetricsRegistry",
-    "LoadGenerator",
     "__version__",
 ]

@@ -10,8 +10,6 @@ Subcommands mirror the production workflow of Figure 4:
 * ``whatif`` — the Figure 2 token-reduction analysis,
 * ``flight`` — re-execute a sample of jobs and validate AREPAS,
 * ``serve`` — run the in-process allocation server over a repository,
-* ``loadtest`` — drive the server with a generated workload and report
-  throughput, tail latency, cache hit rate, and shed rate,
 * ``fleet`` — replay a repository's jobs through the cluster-level
   global allocator (`repro.fleet`) and compare its makespan / wait /
   token-hours with the Default/Peak/TASQ baselines,
@@ -31,8 +29,7 @@ Example session::
     python -m repro score --model nn.pkl --repo history.npz --limit 5
     python -m repro whatif --repo history.npz --budget 0.05
     python -m repro serve --model nn.pkl --repo history.npz
-    python -m repro loadtest --jobs 200 --workers 4
-    python -m repro trace loadtest --tiny
+    python -m repro trace replay --tiny
 """
 
 from __future__ import annotations
@@ -64,13 +61,9 @@ from repro.replay import (
 )
 from repro.scope import FAMILY_NAMES, WorkloadGenerator, run_workload
 from repro.scope.serialization import load_repository, save_repository
-from repro.serving import (
-    AllocationServer,
-    LoadGenerator,
-    LoadgenConfig,
-    ServerConfig,
-)
+from repro.serving import AllocationServer, ServerConfig
 from repro.tasq import ScoringPipeline, token_reduction_report
+from repro.tasq.pipeline import fit_serving_model
 
 __all__ = ["main", "build_parser"]
 
@@ -292,72 +285,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    if args.tiny:
-        # Smoke-test scale: small enough for CI, still exercises every
-        # instrumented layer (generator, executor, fitting, scoring,
-        # serving) when run under `python -m repro trace`.
-        args.jobs = min(args.jobs, 30)
-        args.requests = min(args.requests, 60)
-        args.workers = min(args.workers, 2)
-        args.clients = min(args.clients, 2)
-
-    generator = WorkloadGenerator(seed=args.seed)
-    jobs = generator.generate(args.jobs)
-    print(
-        f"building {len(jobs)}-job history + model (seed {args.seed}) ...",
-        file=sys.stderr,
-    )
-    repository = run_workload(jobs, seed=args.seed + 1)
-    model = XGBoostPL(seed=args.seed).fit(build_dataset(repository))
-
-    config = ServerConfig(
-        workers=args.workers,
-        max_batch_size=args.batch,
-        rate_limit_rps=args.rate_limit,
-        breaker_recovery_s=1.0,
-    )
-    server = AllocationServer(
-        ScoringPipeline(model),
-        config,
-        repository=repository,
-        metrics=obs.get_registry() if obs.enabled() else None,
-    )
-    loadgen = LoadGenerator(
-        jobs,
-        LoadgenConfig(
-            requests=args.requests,
-            clients=args.clients,
-            arrival_rate=args.arrival_rate,
-            seed=args.seed,
-            slo_p95_s=args.slo_p95,
-            slo_p99_s=args.slo_p99,
-        ),
-    )
-    with server:
-        print(f"cold pass: {args.requests} requests ...", file=sys.stderr)
-        cold = loadgen.run(server)
-        print("== cold pass (empty caches) ==")
-        print(cold.render())
-        print()
-        print("warm pass: same schedule ...", file=sys.stderr)
-        warm = loadgen.run(server)
-        print("== warm pass (caches populated) ==")
-        print(warm.render())
-
-    gauges = server.metrics.snapshot()["gauges"]
-    print()
-    print(
-        f"recommendation cache hit rate (lifetime): "
-        f"{gauges['recommendation_cache_hit_rate']:.1%} · "
-        f"feature cache: {gauges['feature_cache_hit_rate']:.1%} · "
-        f"breaker: {gauges['breaker_state']}"
-    )
-    # Latency SLOs (when configured) gate the exit code so CI can fail
-    # a run on either pass.
-    return 1 if (cold.slo_violations or warm.slo_violations) else 0
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
@@ -376,11 +303,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         model = _load_model(args.model)
     else:
         print(
-            f"no --model given: fitting XGBoostPL on {len(repository)} "
-            "historical jobs ...",
+            f"no --model given: fitting the serving model on "
+            f"{len(repository)} historical jobs ...",
             file=sys.stderr,
         )
-        model = XGBoostPL(seed=args.seed).fit(build_dataset(repository))
+        model = fit_serving_model(build_dataset(repository), args.seed)
 
     scorer = ScoringPipeline(
         model,
@@ -518,7 +445,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not rest:
         print(
             "trace: name a subcommand to instrument, e.g. "
-            "`python -m repro trace loadtest --tiny`",
+            "`python -m repro trace replay --tiny`",
             file=sys.stderr,
         )
         return 2
@@ -662,37 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-slowdown", type=float, default=None)
     serve.set_defaults(func=_cmd_serve)
 
-    loadtest = sub.add_parser(
-        "loadtest", help="generate a workload and load-test the server"
-    )
-    loadtest.add_argument("--jobs", type=int, default=200)
-    loadtest.add_argument("--requests", type=int, default=400)
-    loadtest.add_argument("--workers", type=int, default=4)
-    loadtest.add_argument("--clients", type=int, default=4)
-    loadtest.add_argument("--batch", type=int, default=8)
-    loadtest.add_argument("--seed", type=int, default=0)
-    loadtest.add_argument(
-        "--rate-limit", type=float, default=None,
-        help="admitted requests/second (token bucket); default unlimited",
-    )
-    loadtest.add_argument(
-        "--arrival-rate", type=float, default=None,
-        help="open-loop arrival rate; default closed-loop clients",
-    )
-    loadtest.add_argument(
-        "--tiny", action="store_true",
-        help="smoke-test scale (30 jobs / 60 requests); used by CI",
-    )
-    loadtest.add_argument(
-        "--slo-p95", type=float, default=None,
-        help="p95 latency SLO in seconds; violations fail the run",
-    )
-    loadtest.add_argument(
-        "--slo-p99", type=float, default=None,
-        help="p99 latency SLO in seconds; violations fail the run",
-    )
-    loadtest.set_defaults(func=_cmd_loadtest)
-
     fleet = sub.add_parser(
         "fleet",
         help="compare global allocation with per-job baselines",
@@ -705,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--repo", type=Path, required=True)
     fleet.add_argument(
         "--model", type=Path, default=None,
-        help="pickled PCC model; omitted = fit XGBoostPL on the repo",
+        help="pickled PCC model; omitted = fit the serving model on "
+        "the repo",
     )
     fleet.add_argument(
         "--cluster-cap", type=int, default=None,

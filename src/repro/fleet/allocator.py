@@ -19,7 +19,6 @@ before the allocator runs.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 
 import numpy as np
@@ -173,35 +172,3 @@ class GlobalAllocator:
             ),
             cap=cap,
         )
-
-    def budget_recommendations(self, recommendations, cap=None):
-        """Re-budget a batch of per-job TASQ recommendations globally.
-
-        Used by the serving layer: when the batch's combined recommended
-        tokens exceed the cap, grants are squeezed (never raised) so the
-        batch as a whole fits; each returned recommendation carries the
-        adjusted ``optimal_tokens`` and its predicted run time. Batches
-        already under the cap pass through untouched.
-        """
-        cap = self.cap if cap is None else cap
-        total = sum(r.optimal_tokens for r in recommendations)
-        if total <= cap:
-            return list(recommendations)
-        demands = [
-            JobDemand(
-                job_id=f"req-{i}",
-                pcc=rec.pcc,
-                min_tokens=1,
-                max_tokens=rec.optimal_tokens,
-            )
-            for i, rec in enumerate(recommendations)
-        ]
-        allocation = self.allocate(demands, cap=cap)
-        return [
-            dataclasses.replace(
-                rec,
-                optimal_tokens=grant.tokens,
-                predicted_runtime_at_optimal=grant.predicted_runtime,
-            )
-            for rec, grant in zip(recommendations, allocation.grants)
-        ]

@@ -60,6 +60,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import ModelError
+from repro.ml.blas import single_thread
 
 __all__ = [
     "is_enabled",
@@ -431,30 +432,34 @@ class FusedMLP:
         x = np.ascontiguousarray(features, dtype=np.float32)
         if x.ndim != 2:
             raise ModelError("fused MLP expects a 2-D feature matrix")
-        bufs = self._buffers(x.shape[0])
-        k = 0
-        out = x
-        owned = False  # never mutate the caller's array in place
-        for op in self.ops:
-            if op[0] == _ACT:
-                if not owned:
-                    out = out.copy()
-                    owned = True
-                _apply_activation(op[1], out)
-                continue
-            _, weight, bias = op
-            buf = bufs[k]
-            k += 1
-            np.matmul(out, weight, out=buf)
-            buf += bias
-            out = buf
-            owned = True
-            if op[0] == _HEAD:
-                head = np.empty((out.shape[0], 2), dtype=np.float64)
-                head[:, 0] = -_softplus32(out[:, 0])
-                head[:, 1] = out[:, 1]
-                return head
-        return out.astype(np.float64)
+        # One BLAS thread: from a few hundred rows on OpenBLAS splits
+        # each product across its threads, and on two cores the split
+        # cost ~8 ms at 1,024 rows where one thread needs ~0.2 ms.
+        with single_thread():
+            bufs = self._buffers(x.shape[0])
+            k = 0
+            out = x
+            owned = False  # never mutate the caller's array in place
+            for op in self.ops:
+                if op[0] == _ACT:
+                    if not owned:
+                        out = out.copy()
+                        owned = True
+                    _apply_activation(op[1], out)
+                    continue
+                _, weight, bias = op
+                buf = bufs[k]
+                k += 1
+                np.matmul(out, weight, out=buf)
+                buf += bias
+                out = buf
+                owned = True
+                if op[0] == _HEAD:
+                    head = np.empty((out.shape[0], 2), dtype=np.float64)
+                    head[:, 0] = -_softplus32(out[:, 0])
+                    head[:, 1] = out[:, 1]
+                    return head
+            return out.astype(np.float64)
 
     def num_parameters(self) -> int:
         return int(

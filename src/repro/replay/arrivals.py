@@ -56,7 +56,8 @@ class ArrivalSpec:
     burst_fraction: float = 0.15
     #: Mean length of one burst (seconds).
     burst_mean_s: float = 60.0
-    #: Explicit timestamps (trace replay only), non-decreasing.
+    #: Explicit timestamps (trace replay only): finite, non-negative and
+    #: non-decreasing.
     trace: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -85,9 +86,14 @@ class ArrivalSpec:
             if not self.trace:
                 raise ReplayError("trace arrivals need timestamps")
             times = np.asarray(self.trace, dtype=float)
-            if (times < 0).any() or (np.diff(times) < 0).any():
+            if (
+                not np.isfinite(times).all()
+                or (times < 0).any()
+                or (np.diff(times) < 0).any()
+            ):
                 raise ReplayError(
-                    "trace timestamps must be non-negative and sorted"
+                    "trace timestamps must be finite, non-negative and "
+                    "sorted"
                 )
 
 

@@ -43,8 +43,8 @@ import numpy as np
 from repro.exceptions import ReplayError
 from repro.fleet import FleetJob, FleetScheduler, JobDemand
 from repro.models import build_dataset
-from repro.models.xgboost_models import XGBoostPL
-from repro.obs import trace
+from repro.models.base import PCCPredictor
+from repro.obs import get_registry, trace
 from repro.pcc.intervals import tokens_within_slowdown_at_risk
 from repro.pcc.optimal import tokens_for_slowdown
 from repro.replay.arrivals import arrival_times
@@ -64,6 +64,7 @@ from repro.serving.server import ResponseStatus, ServeResponse
 from repro.tasq import ScoringPipeline
 from repro.tasq.model_store import ModelStore
 from repro.tasq.monitoring import PredictionMonitor
+from repro.tasq.pipeline import fit_serving_model
 
 __all__ = ["REPLAY_POLICIES", "ReplayConfig", "ReplayEngine", "run_replay"]
 
@@ -168,11 +169,14 @@ class ReplayEngine:
         #: deliberately not part of the hashed ReplayReport).
         self.outcomes_by_tenant_: dict[str, list[QueueOutcome]] = {}
 
-    def _fit_model(self, repository: JobRepository, seed: int) -> XGBoostPL:
-        # Quantile heads are needed only for risk floors.
-        return XGBoostPL(
-            seed=seed, quantile_heads=self.config.risk is not None
-        ).fit(build_dataset(repository, workers=self.config.workers))
+    def _fit_model(
+        self, repository: JobRepository, seed: int
+    ) -> PCCPredictor:
+        return fit_serving_model(
+            build_dataset(repository, workers=self.config.workers),
+            seed,
+            intervals=self.config.risk is not None,
+        )
 
     # ------------------------------------------------------------------
     # phases
@@ -216,6 +220,9 @@ class ReplayEngine:
                 model_name=_MODEL_NAME,
                 repository=repository,
                 monitor=monitor,
+                # Under tracing the server records into the shared
+                # registry, so its counters reach the trace report.
+                metrics=get_registry() if trace.enabled else None,
             )
             return server, repository
 

@@ -4,14 +4,13 @@ Models the production deployment path of Figure 4 — the always-on
 endpoint that answers every incoming job's "how many tokens?" at
 compile time — as an in-process system: a bounded queue and worker
 pool with micro-batching (:mod:`~repro.serving.server`), signature-keyed
-recommendation/feature caches (:mod:`~repro.serving.cache`), token-bucket
-rate limiting plus a circuit breaker (:mod:`~repro.serving.admission`),
-degraded-mode fallbacks (:mod:`~repro.serving.fallback`), and a seeded
-load generator (:mod:`~repro.serving.loadgen`). Metrics go to a
+recommendation/feature caches (:mod:`~repro.serving.cache`), a circuit
+breaker (:mod:`~repro.serving.admission`) and degraded-mode fallbacks
+(:mod:`~repro.serving.fallback`). Metrics go to a
 :class:`repro.obs.metrics.MetricsRegistry`.
 """
 
-from repro.serving.admission import BreakerState, CircuitBreaker, TokenBucket
+from repro.serving.admission import BreakerState, CircuitBreaker
 from repro.serving.cache import FeatureCache, LRUCache, RecommendationCache
 from repro.serving.fallback import (
     FallbackPolicy,
@@ -19,7 +18,6 @@ from repro.serving.fallback import (
     PassthroughFallback,
     degraded_recommendation,
 )
-from repro.serving.loadgen import LoadGenerator, LoadgenConfig, LoadReport
 from repro.serving.server import (
     AllocationServer,
     ResponseStatus,
@@ -34,7 +32,6 @@ from repro.serving.server import (
 build_server = AllocationServer
 
 __all__ = [
-    "TokenBucket",
     "BreakerState",
     "CircuitBreaker",
     "LRUCache",
@@ -50,7 +47,4 @@ __all__ = [
     "ServeFuture",
     "AllocationServer",
     "build_server",
-    "LoadgenConfig",
-    "LoadReport",
-    "LoadGenerator",
 ]

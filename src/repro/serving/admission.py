@@ -1,22 +1,18 @@
-"""Admission control: rate limiting, load shedding, circuit breaking.
+"""Admission control: circuit breaking.
 
-A serving endpoint that fronts a cluster-wide allocator must protect
-itself (and its callers) from three distinct overload shapes:
+A serving endpoint must protect itself (and its callers) from two
+overload shapes:
 
-* **sustained overload** — more requests per second than the scorer can
-  handle: a :class:`TokenBucket` admits a configured steady rate with a
-  bounded burst and sheds the rest *early*, before they consume queue
-  space;
-* **momentary bursts** — the server's bounded queue absorbs these; when
-  it fills, submissions are rejected explicitly (backpressure) rather
-  than queued into unbounded latency;
+* **bursts** — the server's bounded queue absorbs these; when it fills,
+  submissions are rejected explicitly (backpressure) rather than queued
+  into unbounded latency;
 * **dependency failure** — when the model keeps throwing, a
   :class:`CircuitBreaker` stops sending traffic to it (open), probes it
   periodically (half-open), and restores traffic once probes succeed
   (closed), in the meantime letting the server answer from its fallback
   policy instead of surfacing exceptions.
 
-Clocks are injectable so tests drive time deterministically.
+The clock is injectable so tests drive time deterministically.
 """
 
 from __future__ import annotations
@@ -28,56 +24,7 @@ from collections.abc import Callable
 
 from repro.exceptions import ServingError
 
-__all__ = ["TokenBucket", "BreakerState", "CircuitBreaker"]
-
-
-class TokenBucket:
-    """Classic token-bucket rate limiter.
-
-    Permits accrue at ``rate`` per second up to ``capacity``; each
-    admitted request spends one. ``try_acquire`` never blocks — serving
-    sheds over-rate traffic instead of queueing it.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        capacity: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if rate <= 0:
-            raise ServingError("rate must be positive (permits per second)")
-        if capacity < 1:
-            raise ServingError("bucket capacity must be at least 1")
-        self.rate = float(rate)
-        self.capacity = float(capacity)
-        self._clock = clock
-        self._permits = float(capacity)
-        self._last_refill = clock()
-        self._lock = threading.Lock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        elapsed = max(0.0, now - self._last_refill)
-        self._last_refill = now
-        self._permits = min(self.capacity, self._permits + elapsed * self.rate)
-
-    def try_acquire(self, permits: float = 1.0) -> bool:
-        """Spend ``permits`` if available; False means shed the request."""
-        if permits <= 0:
-            raise ServingError("must acquire a positive number of permits")
-        with self._lock:
-            self._refill()
-            if self._permits >= permits:
-                self._permits -= permits
-                return True
-            return False
-
-    @property
-    def available(self) -> float:
-        with self._lock:
-            self._refill()
-            return self._permits
+__all__ = ["BreakerState", "CircuitBreaker"]
 
 
 class BreakerState(enum.Enum):

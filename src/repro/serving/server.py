@@ -12,14 +12,13 @@ in-process concurrent system:
                         │   └─ recommendation cache (signature  ▼
                         │      + tokens) answers recurring   score_batch
                         │      traffic without the model        │
-                        └─ token bucket / breaker-open          ▼
-                           short-circuits              cache fill + respond
+                        └─ breaker-open short-circuits          ▼
+                                                       cache fill + respond
                                                        (fallback on failure)
 
-* **admission** (`repro.serving.admission`) — an optional token-bucket
-  rate limit sheds over-rate traffic before it costs anything, and a
-  full queue rejects with explicit backpressure instead of unbounded
-  latency.
+* **admission** (`repro.serving.admission`) — an open circuit breaker
+  answers with the fallback before the queue, and a full queue rejects
+  with explicit backpressure instead of unbounded latency.
 * **micro-batching** — work-conserving: a worker that takes a request
   adds whatever is already queued (up to ``max_batch_size``, without
   waiting) and scores at once in one
@@ -54,10 +53,6 @@ import time
 import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.fleet.allocator import GlobalAllocator
 
 from repro.exceptions import ReproError, ServingError
 from repro.obs import trace
@@ -65,7 +60,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.scope.plan import QueryPlan
 from repro.scope.repository import JobRepository
 from repro.scope.signatures import plan_signature
-from repro.serving.admission import BreakerState, CircuitBreaker, TokenBucket
+from repro.serving.admission import BreakerState, CircuitBreaker
 from repro.serving.cache import FeatureCache, RecommendationCache
 from repro.serving.fallback import (
     FallbackPolicy,
@@ -98,10 +93,6 @@ class ServerConfig:
     #: Per-request deadline (submit → scored); expired requests get the
     #: fallback answer. ``None`` disables deadlines.
     deadline_s: float | None = None
-    #: Steady-state admitted requests per second (None = unlimited).
-    rate_limit_rps: float | None = None
-    #: Burst size of the rate limiter.
-    rate_limit_burst: int = 32
     #: Consecutive scoring failures that trip the circuit breaker.
     breaker_failure_threshold: int = 5
     #: Seconds the breaker stays open before probing the model again.
@@ -123,8 +114,6 @@ class ServerConfig:
             raise ServingError("max batch size must be at least 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ServingError("deadline must be positive when set")
-        if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
-            raise ServingError("rate limit must be positive when set")
 
 
 class ResponseStatus(enum.Enum):
@@ -203,20 +192,9 @@ class AllocationServer:
     repository:
         Optional job history; enables the per-signature historical
         median fallback (otherwise requested tokens pass through).
-    fallback:
-        Explicit fallback policy; overrides ``repository``.
     monitor, metrics:
         Bring-your-own monitor/registry, e.g. shared across servers;
         fresh instances are created by default.
-    allocator:
-        Optional :class:`~repro.fleet.allocator.GlobalAllocator` (or
-        anything exposing ``budget_recommendations``). When set, each
-        scored micro-batch is re-budgeted globally: if the batch's
-        combined recommended tokens exceed the allocator's cluster cap,
-        grants are squeezed so the in-flight batch as a whole fits.
-        Raw (un-budgeted) recommendations still populate the cache —
-        budgeting depends on batch composition, which must not leak
-        into answers for future traffic.
     clock:
         Injectable monotonic clock for tests.
     """
@@ -229,10 +207,8 @@ class AllocationServer:
         store: ModelStore | None = None,
         model_name: str | None = None,
         repository: JobRepository | None = None,
-        fallback: FallbackPolicy | None = None,
         monitor: PredictionMonitor | None = None,
         metrics: MetricsRegistry | None = None,
-        allocator: "GlobalAllocator | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if store is not None and model_name is None:
@@ -244,15 +220,13 @@ class AllocationServer:
         self._model_version: int | None = None
         self._last_model_check = 0.0
         self._clock = clock
-        self._allocator = allocator
         self.monitor = monitor or PredictionMonitor()
         self.metrics = metrics or MetricsRegistry()
-        if fallback is not None:
-            self.fallback = fallback
-        elif repository is not None:
-            self.fallback = HistoricalMedianFallback(repository)
-        else:
-            self.fallback = PassthroughFallback()
+        self.fallback: FallbackPolicy = (
+            HistoricalMedianFallback(repository)
+            if repository is not None
+            else PassthroughFallback()
+        )
 
         self.recommendation_cache = RecommendationCache(
             self.config.recommendation_cache_size
@@ -264,13 +238,6 @@ class AllocationServer:
             half_open_probes=self.config.breaker_half_open_probes,
             clock=clock,
         )
-        self.rate_limiter: TokenBucket | None = None
-        if self.config.rate_limit_rps is not None:
-            self.rate_limiter = TokenBucket(
-                rate=self.config.rate_limit_rps,
-                capacity=self.config.rate_limit_burst,
-                clock=clock,
-            )
 
         self._queue: queue_module.Queue[_Pending] = queue_module.Queue(
             maxsize=self.config.max_queue
@@ -341,14 +308,6 @@ class AllocationServer:
         now = self._clock()
         self.metrics.counter("requests_total").increment()
         future = ServeFuture()
-
-        if self.rate_limiter is not None and not self.rate_limiter.try_acquire():
-            self.metrics.counter("rejected_rate_limited").increment()
-            self._finish(
-                future, plan.job_id, ResponseStatus.REJECTED, None,
-                "rate_limited", now,
-            )
-            return future
 
         cached = self.recommendation_cache.get(signature, requested_tokens)
         if cached is not None:
@@ -516,7 +475,6 @@ class AllocationServer:
             max(0.0, self._clock() - scoring_started)
         )
         self.breaker.record_success()
-        scored = []
         for pending, recommendation in zip(live, recommendations):
             if recommendation is None:
                 # No optimum for this plan's curve: an answer about the
@@ -524,55 +482,20 @@ class AllocationServer:
                 self.metrics.counter("fallback_unusable_curve").increment()
                 self._fallback(pending, "unusable_curve")
             else:
-                scored.append((pending, recommendation))
-        granted = self._budget([rec for _, rec in scored])
-        for (pending, recommendation), final in zip(scored, granted):
-            self._succeed(pending, recommendation, final)
+                self._succeed(pending, recommendation)
 
     # ------------------------------------------------------------------
     # resolution helpers
     # ------------------------------------------------------------------
-    def _budget(
-        self, recommendations: list[TokenRecommendation]
-    ) -> list[TokenRecommendation]:
-        """Globally re-budget one scored batch under the cluster cap."""
-        if self._allocator is None:
-            return recommendations
-        with trace.span("serving.fleet_budget", batch=len(recommendations)):
-            try:
-                granted = self._allocator.budget_recommendations(
-                    recommendations
-                )
-            except ReproError:
-                # Budgeting is an optimization, never an availability
-                # risk: an allocator failure degrades to the per-job
-                # answers instead of failing the batch.
-                self.metrics.counter("fleet_budget_errors").increment()
-                return recommendations
-        squeezed = sum(
-            1
-            for raw, final in zip(recommendations, granted)
-            if final.optimal_tokens != raw.optimal_tokens
-        )
-        if squeezed:
-            self.metrics.counter("fleet_budgeted").increment(squeezed)
-        return granted
-
     def _succeed(
-        self,
-        pending: _Pending,
-        recommendation: TokenRecommendation,
-        granted: TokenRecommendation | None = None,
+        self, pending: _Pending, recommendation: TokenRecommendation
     ) -> None:
-        # Cache the raw per-job recommendation: the budgeted grant is a
-        # property of this batch's contention, not of the plan.
         self.recommendation_cache.put(
             pending.signature, pending.requested_tokens, recommendation
         )
         self._finish(
             pending.future, pending.plan.job_id, ResponseStatus.OK,
-            granted if granted is not None else recommendation,
-            None, pending.submitted_at,
+            recommendation, None, pending.submitted_at,
         )
 
     def _fallback(self, pending: _Pending, reason: str) -> None:

@@ -51,6 +51,7 @@ __all__ = [
     "TasqConfig",
     "TrainedModels",
     "TrainingPipeline",
+    "fit_serving_model",
     "TokenRecommendation",
     "PlanFeatures",
     "featurize",
@@ -174,6 +175,18 @@ def _fit_named_model(
                 train_config=config.gnn_train_config, seed=config.seed
             ).fit(dataset)
     raise PipelineError(f"unknown model family: {name!r}")
+
+
+def fit_serving_model(
+    dataset: PCCDataset, seed: int, intervals: bool = False
+) -> XGBoostPL:
+    """Fit the model the allocation server serves.
+
+    Every path that serves a model it fits itself comes here, so the
+    served family is chosen in one place. ``intervals`` adds the
+    quantile heads that risk floors (``risk=``) read.
+    """
+    return XGBoostPL(seed=seed, quantile_heads=intervals).fit(dataset)
 
 
 @dataclass(frozen=True)

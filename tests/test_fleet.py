@@ -3,8 +3,8 @@
 The allocator's promise is simple — never exceed the cap, never leave a
 demand outside its bounds, and spend spare tokens where the predicted
 PCCs say they buy the most run time. These tests check that promise on
-the water-filling rule itself, then through the scheduler, the
-evaluation harness, and the serving integration.
+the water-filling rule itself, then through the scheduler and the
+evaluation harness.
 """
 
 import math
@@ -390,51 +390,6 @@ def recommendation(job_id, requested, optimal, a=-0.8, b=500.0):
         predicted_runtime_at_requested=float(pcc.runtime(requested)),
         predicted_runtime_at_optimal=float(pcc.runtime(optimal)),
     )
-
-
-class TestBudgetRecommendations:
-    def test_fast_path_returns_inputs_unchanged(self):
-        allocator = GlobalAllocator(100)
-        recs = [recommendation("a", 100, 40), recommendation("b", 100, 50)]
-        assert allocator.budget_recommendations(recs) == recs
-
-    def test_squeeze_path_fits_cap_and_stays_consistent(self):
-        allocator = GlobalAllocator(60)
-        recs = [recommendation("a", 100, 50), recommendation("b", 100, 40)]
-        granted = allocator.budget_recommendations(recs)
-        total = sum(r.optimal_tokens for r in granted)
-        assert total <= 60
-        for raw, final in zip(recs, granted):
-            assert 1 <= final.optimal_tokens <= raw.optimal_tokens
-            assert final.predicted_runtime_at_optimal == pytest.approx(
-                float(raw.pcc.runtime(final.optimal_tokens))
-            )
-
-
-class TestServingIntegration:
-    def test_server_answers_budgeted_caches_raw(self, workload_jobs):
-        from repro.serving import AllocationServer, ResponseStatus
-
-        class OneShotPipeline:
-            def score_batch(self, plans, requested_tokens, features=None):
-                return [
-                    recommendation(p.job_id, int(t), int(t) // 2)
-                    for p, t in zip(plans, requested_tokens)
-                ]
-
-        plan = workload_jobs[0].plan
-        allocator = GlobalAllocator(20)
-        with AllocationServer(
-            OneShotPipeline(), allocator=allocator
-        ) as server:
-            first = server.request(plan, 100)
-            second = server.request(plan, 100)
-        assert first.status is ResponseStatus.OK
-        assert first.tokens <= 20  # budgeted under the cluster cap
-        # The cache keeps the *raw* per-job answer: a grant squeezed by
-        # one batch's contention must not poison later batches.
-        assert second.status is ResponseStatus.CACHED
-        assert second.tokens == 50
 
 
 class FlakyScorer:

@@ -165,8 +165,31 @@ class TestTraceCLI:
         assert not global_trace.enabled
         global_trace.reset()
 
+    def test_traced_replay_reports_server_metrics(self, tmp_path, capsys):
+        """The replay's server records into the traced run's registry."""
+        from repro.cli import main
+        from repro.obs import reset_registry, trace as global_trace
+
+        report_out = tmp_path / "report.txt"
+        code = main(
+            [
+                "trace",
+                "--trace-out", str(tmp_path / "trace.json"),
+                "--report-out", str(report_out),
+                "replay", "--tiny",
+            ]
+        )
+        assert code == 0
+        report = report_out.read_text()
+        for name in (
+            "responses_ok", "latency_s", "recommendation_cache_hit_rate",
+        ):
+            assert name in report
+        global_trace.reset()
+        reset_registry()
+
     def test_trace_requires_subcommand(self, capsys):
         from repro.cli import main
 
         assert main(["trace"]) == 2
-        assert main(["trace", "trace", "loadtest"]) == 2
+        assert main(["trace", "trace", "replay"]) == 2

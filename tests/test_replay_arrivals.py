@@ -41,8 +41,12 @@ class TestArrivalSpec:
             ArrivalSpec(kind="trace")
 
     def test_trace_must_be_sorted(self):
-        with pytest.raises(ReplayError, match="sorted"):
-            ArrivalSpec(kind="trace", trace=(3.0, 1.0))
+        # A NaN or infinite timestamp used to be dropped silently, so
+        # the replay saw fewer arrivals than the caller passed.
+        inputs = ((3.0, 1.0), (0.0, 5.0, np.nan, 7.0), (0.0, 5.0, np.inf))
+        for trace in inputs:
+            with pytest.raises(ReplayError, match="finite.*sorted"):
+                ArrivalSpec(kind="trace", trace=trace)
 
 
 class TestArrivalTimes:

@@ -1,13 +1,10 @@
-"""Unit tests for admission control: rate limiting + circuit breaking.
+"""Unit tests for admission control: circuit breaking.
 
-Both components take an injectable clock, so these tests drive time
+The breaker takes an injectable clock, so these tests drive time
 explicitly and are fully deterministic.
 """
 
-import pytest
-
-from repro.exceptions import ServingError
-from repro.serving import BreakerState, CircuitBreaker, TokenBucket
+from repro.serving import BreakerState, CircuitBreaker
 
 
 class FakeClock:
@@ -19,40 +16,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-class TestTokenBucket:
-    def test_burst_then_shed(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, capacity=3, clock=clock)
-        assert [bucket.try_acquire() for _ in range(4)] == [
-            True, True, True, False,
-        ]
-
-    def test_refills_at_rate(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, capacity=4, clock=clock)
-        for _ in range(4):
-            assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        clock.advance(1.0)  # 2 permits back
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refill_caps_at_capacity(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, capacity=2, clock=clock)
-        clock.advance(100.0)
-        assert bucket.available == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ServingError):
-            TokenBucket(rate=0.0, capacity=1)
-        with pytest.raises(ServingError):
-            TokenBucket(rate=1.0, capacity=0)
-        with pytest.raises(ServingError):
-            TokenBucket(rate=1.0, capacity=1).try_acquire(0)
 
 
 class TestCircuitBreaker:

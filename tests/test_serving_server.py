@@ -273,22 +273,48 @@ class TestAdmission:
         counters = server.metrics.snapshot()["counters"]
         assert counters["rejected_queue_full"] == 1
 
-    def test_rate_limit_rejection(self, plans):
-        config = ServerConfig(
-            workers=1, rate_limit_rps=0.001, rate_limit_burst=2
-        )
-        with AllocationServer(StubPipeline(), config) as server:
-            responses = [server.request(plans[i], 10) for i in range(4)]
-        statuses = [r.status for r in responses]
-        assert statuses == [
-            ResponseStatus.OK,
-            ResponseStatus.OK,
-            ResponseStatus.REJECTED,
-            ResponseStatus.REJECTED,
-        ]
-        assert [r.reason for r in responses[2:]] == ["rate_limited"] * 2
+
+class TestConcurrentClients:
+    def test_every_request_resolves_with_a_typed_status(self, plans):
+        """Four client threads, 100 requests, two workers: none hangs.
+
+        A small queue sheds some requests, the first scoring calls
+        raise, and repeated (plan, tokens) pairs hit the cache, so the
+        answers mix statuses; the counters must account for each one.
+        """
+        futures = []
+        lock = threading.Lock()
+
+        def client(server, first):
+            for i in range(first, 100, 4):
+                future = server.submit(plans[i % 20], 10 + i % 3)
+                with lock:
+                    futures.append(future)
+
+        config = ServerConfig(workers=2, max_queue=16, max_batch_size=4)
+        with AllocationServer(StubPipeline(fail_times=2), config) as server:
+            clients = [
+                threading.Thread(target=client, args=(server, k))
+                for k in range(4)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=10.0)
+            responses = [future.result(timeout=5.0) for future in futures]
+        assert not any(thread.is_alive() for thread in clients)
+        assert len(responses) == 100
+        assert all(isinstance(r.status, ResponseStatus) for r in responses)
         counters = server.metrics.snapshot()["counters"]
-        assert counters["rejected_rate_limited"] == 2
+        answered = {
+            status: counters.get(f"responses_{status.value}", 0)
+            for status in ResponseStatus
+        }
+        assert sum(answered.values()) == counters["requests_total"] == 100
+        assert answered == {
+            status: sum(r.status is status for r in responses)
+            for status in ResponseStatus
+        }
 
 
 class TestFailureContainment:
@@ -469,30 +495,6 @@ class TestUnusableCurves:
         assert after.status is ResponseStatus.OK
         assert state is BreakerState.CLOSED
         assert trips == 0
-
-    def test_allocator_budgets_usable_rows_only(self, plans):
-        class RecordingAllocator:
-            def __init__(self):
-                self.batches = []
-
-            def budget_recommendations(self, recommendations):
-                self.batches.append([r.job_id for r in recommendations])
-                return recommendations
-
-        allocator = RecordingAllocator()
-        pipeline = GatedPipeline(StubPredictor(increasing={plans[2].job_id}))
-        with AllocationServer(
-            pipeline, ServerConfig(workers=1), allocator=allocator
-        ) as server:
-            responses = behind_blocker(
-                server, pipeline, [(plans[i], 10) for i in range(4)]
-            )
-        assert pipeline.calls == [1, 3]
-        assert allocator.batches == [
-            [plans[0].job_id],
-            [plans[1].job_id, plans[3].job_id],
-        ]
-        assert responses[2].reason == "unusable_curve"
 
 
 class TestFallbackPolicies:

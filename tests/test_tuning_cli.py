@@ -216,8 +216,9 @@ class TestCLI:
         [
             ["replay", "--policy", "knapsack"],
             ["fleet", "--repo", "hist.npz", "--deadline-slack", "0.1"],
+            ["loadtest", "--tiny"],
         ],
-        ids=["replay-knapsack", "fleet-deadline-slack"],
+        ids=["replay-knapsack", "fleet-deadline-slack", "loadtest"],
     )
     def test_removed_fleet_options_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
