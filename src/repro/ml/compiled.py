@@ -20,12 +20,17 @@ the CPU likes:
   threshold+1)`` is packed into one int64, so a traversal step costs a
   single node gather, one feature-value gather, and a handful of
   elementwise ops. Rows are processed in blocks of 128 to keep the
-  gather working set cache-resident.
+  gather working set cache-resident, and each block is binned inside
+  the kernel by a branchless binary search over a padded per-feature
+  edge table: one search for all ``rows x features`` values in place of
+  one ``searchsorted`` call per feature column.
 
   The kernel is **bit-identical** to the reference python traversal:
-  leaf values are pre-scaled by the learning rate (the same scalar
-  multiply the reference applies elementwise), and per-tree
-  contributions are accumulated in the reference's sequential order.
+  bins equal ``BinMapper.transform``'s (NaN and +-inf included), leaf
+  values are pre-scaled by the learning rate (the same scalar multiply
+  the reference applies elementwise), and one ``np.cumsum`` down the
+  tree axis adds the per-tree contributions in the reference's
+  sequential order.
 
 * :class:`FusedMLP` — a ``Sequential`` of ``Dense`` / ``Activation`` /
   ``PCCParameterHead`` modules fused into a float32 forward pass over
@@ -129,6 +134,13 @@ class FlattenedForest:
         value      float64  learning_rate * leaf weight (0 internally)
         roots      int32    first node of each tree
 
+    plus the booster's bin edges, one row per feature, as a search
+    table::
+
+        edges       float64  (features, width) edges, padded with +inf
+                             to a power-of-two width above the widest
+        edge_count  int64    number of (non-NaN) edges per feature
+
     The constructor additionally derives a packed traversal encoding:
     nodes renumbered level-synchronous-BFS (children of each split are
     adjacent, so ``right`` is implicit) with one int64 word per node::
@@ -142,13 +154,12 @@ class FlattenedForest:
         p = packed[nodes]
         nodes = (p >> 18) + (bins[(p >> 9) & 511] > (p & 511) - 1)
 
-    Ensembles whose fields overflow the 9-bit packing (features >= 512
-    or thresholds > 298 — impossible for ``BinMapper``-binned trees)
-    fall back to an unpacked ``np.where`` walk over the canonical
-    arrays.
+    Ensembles whose fields overflow the 9-bit packing (features >= 512,
+    thresholds > 298 or a feature with 300 or more edges — impossible
+    for ``BinMapper``-binned trees) fall back to an unpacked
+    ``np.where`` walk over the canonical arrays.
 
-    ``predict_raw`` accumulates per-tree leaf values in the reference
-    booster's sequential order, so results are bit-identical to
+    ``predict_raw`` takes unbinned features and is bit-identical to
     ``GradientBoostingRegressor.predict_raw_reference``.
     """
 
@@ -161,6 +172,7 @@ class FlattenedForest:
         value: np.ndarray,
         roots: np.ndarray,
         depth: int,
+        bin_edges: Sequence[np.ndarray],
     ) -> None:
         self.feature = feature
         self.threshold = threshold
@@ -169,10 +181,33 @@ class FlattenedForest:
         self.value = value
         self.roots = roots
         self.depth = int(depth)
+        self._build_edge_table(bin_edges)
         self._packed: np.ndarray | None = None
         self._packed_value: np.ndarray | None = None
         self._packed_roots: np.ndarray | None = None
         self._pack()
+
+    def _build_edge_table(self, bin_edges: Sequence[np.ndarray]) -> None:
+        """Pad every feature's edges with +inf into one search table."""
+        widest = max((edges.size for edges in bin_edges), default=0)
+        width = 1 << widest.bit_length()  # a power of two above widest
+        self.edges = np.full((len(bin_edges), width), np.inf)
+        self.edge_count = np.zeros(len(bin_edges), dtype=np.int64)
+        for j, edges in enumerate(bin_edges):
+            # ``BinMapper`` edges are sorted with any NaN last, and no
+            # value is above a NaN edge, so NaN edges count as padding.
+            real = np.asarray(edges, dtype=np.float64)
+            real = real[~np.isnan(real)]
+            self.edges[j, : real.size] = real
+            self.edge_count[j] = real.size
+        self._row_starts = np.arange(len(bin_edges), dtype=np.int64) * width
+        flat = self.edges.reshape(-1)
+        # One view per search step: ``view[pos]`` reads the edge
+        # ``step - 1`` slots past ``pos`` without an index addition.
+        self._search_steps = [
+            (step, flat[step - 1 :])
+            for step in (1 << k for k in reversed(range(width.bit_length() - 1)))
+        ]
 
     def _pack(self) -> None:
         """Build the BFS-renumbered packed encoding (or leave it off)."""
@@ -184,10 +219,13 @@ class FlattenedForest:
         is_leaf = left == np.arange(n, dtype=np.int64)
         split_features = feature[~is_leaf]
         split_thresholds = threshold[~is_leaf]
-        if split_features.size and (
-            split_features.max() >= 512
-            or split_thresholds.min() < 0
-            or split_thresholds.max() >= _LEAF_THRESHOLD - 1
+        if self.edge_count.max(initial=0) >= _LEAF_THRESHOLD or (
+            split_features.size
+            and (
+                split_features.max() >= 512
+                or split_thresholds.min() < 0
+                or split_thresholds.max() >= _LEAF_THRESHOLD - 1
+            )
         ):
             return  # does not fit the 9-bit fields; unpacked path only
 
@@ -224,13 +262,15 @@ class FlattenedForest:
             tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ],
         learning_rate: float,
+        bin_edges: Sequence[np.ndarray],
     ) -> "FlattenedForest":
         """Flatten ``(feature, bin_threshold, left, right, value)`` arrays.
 
         One tuple per fitted tree, exactly as
         :meth:`~repro.ml.gbm.tree.RegressionTree.flat_arrays` returns
-        them. Leaf nodes (``feature < 0``) become self-loops so the
-        traversal needs no termination mask.
+        them, plus the fitted ``BinMapper.bin_edges_`` the trees' bin
+        thresholds refer to. Leaf nodes (``feature < 0``) become
+        self-loops so the traversal needs no termination mask.
         """
         if not trees:
             raise ModelError("cannot flatten an empty ensemble")
@@ -278,6 +318,7 @@ class FlattenedForest:
             value=np.concatenate(values).astype(np.float64),
             roots=roots,
             depth=max_depth,
+            bin_edges=bin_edges,
         )
 
     @property
@@ -288,68 +329,73 @@ class FlattenedForest:
     def num_nodes(self) -> int:
         return int(self.feature.shape[0])
 
-    def predict_raw(self, binned: np.ndarray, base_score: float) -> np.ndarray:
-        """Raw scores for pre-binned features, all trees at once."""
-        if binned.ndim != 2:
-            raise ModelError("binned features must be 2-D")
-        if binned.shape[0] == 0:
-            return np.full(0, base_score, dtype=np.float64)
-        if self._packed is not None and (
-            binned.dtype == np.uint8 or int(binned.max()) < _LEAF_THRESHOLD
-        ):
-            return self._predict_raw_packed(binned, base_score)
-        return self._predict_raw_unpacked(binned, base_score)
+    @property
+    def num_features(self) -> int:
+        return int(self.edges.shape[0])
 
-    def _predict_raw_packed(
-        self, binned: np.ndarray, base_score: float
-    ) -> np.ndarray:
-        packed = self._packed
-        values = self._packed_value
-        roots = self._packed_roots[:, None]
-        depth = self.depth
-        n_rows, n_features = binned.shape
-        bins_flat = binned.reshape(-1).astype(np.int64)
+    def bin(self, features: np.ndarray) -> np.ndarray:
+        """``BinMapper.transform`` of a feature block, as int64 bins.
+
+        A value's bin is the number of edges below it, which is what
+        ``searchsorted(side="left")`` returns. A branchless binary
+        search finds it for every ``(row, feature)`` value at once: each
+        step moves a position forward wherever the edge ``step - 1``
+        slots ahead is below the value. The +inf padding is below no
+        value, and NaN is above no edge, so NaN is moved to its
+        feature's edge count — where ``searchsorted`` sorts it.
+        """
+        pos = np.repeat(self._row_starts[None, :], features.shape[0], axis=0)
+        for step, ahead in self._search_steps:
+            pos += (ahead[pos] < features) * step
+        return np.where(np.isnan(features), self.edge_count, pos - self._row_starts)
+
+    def predict_raw(self, features: np.ndarray, base_score: float) -> np.ndarray:
+        """Raw scores for unbinned features, all trees at once."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.num_features:
+            raise ModelError(
+                f"features must be a 2-D matrix of {self.num_features} columns"
+            )
+        walk = (
+            self._walk_unpacked if self._packed is None else self._walk_packed
+        )
+        n_rows = features.shape[0]
         raw = np.empty(n_rows, dtype=np.float64)
         for start in range(0, n_rows, _TRAVERSAL_BLOCK):
             stop = min(start + _TRAVERSAL_BLOCK, n_rows)
-            row_offsets = (
-                np.arange(start, stop, dtype=np.int64) * n_features
-            )[None, :]
-            nodes = np.repeat(roots, stop - start, axis=1)
-            for _ in range(depth):
-                p = packed[nodes]
-                go_right = (
-                    bins_flat[((p >> 9) & 511) + row_offsets]
-                    > (p & 511) - 1
-                )
-                nodes = (p >> 18) + go_right
-            leaf_values = values[nodes]  # (trees, block)
-
-            # Accumulate in the reference's tree order — summing the
-            # matrix with one reduction would change float association
-            # and break bit-identity with the sequential boosting loop.
-            block = np.full(stop - start, base_score, dtype=np.float64)
-            for t in range(leaf_values.shape[0]):
-                block = block + leaf_values[t]
-            raw[start:stop] = block
+            terms = np.empty((self.num_trees + 1, stop - start))
+            terms[0] = base_score
+            terms[1:] = walk(self.bin(features[start:stop]))
+            # add.accumulate is strictly sequential down the tree axis,
+            # so the last row is ((base + tree 0) + tree 1) + ... — the
+            # reference's per-tree loop, addition for addition. A sum()
+            # reduction may pair the additions differently.
+            raw[start:stop] = np.cumsum(terms, axis=0)[-1]
         return raw
 
-    def _predict_raw_unpacked(
-        self, binned: np.ndarray, base_score: float
-    ) -> np.ndarray:
-        n_rows = binned.shape[0]
+    def _walk_packed(self, bins: np.ndarray) -> np.ndarray:
+        """Leaf values ``(trees, rows)`` via the packed encoding."""
+        packed = self._packed
+        n_rows, n_features = bins.shape
+        bins_flat = bins.reshape(-1)
+        row_offsets = (np.arange(n_rows, dtype=np.int64) * n_features)[None, :]
+        nodes = np.repeat(self._packed_roots[:, None], n_rows, axis=1)
+        for _ in range(self.depth):
+            p = packed[nodes]
+            go_right = bins_flat[((p >> 9) & 511) + row_offsets] > (p & 511) - 1
+            nodes = (p >> 18) + go_right
+        return self._packed_value[nodes]
+
+    def _walk_unpacked(self, bins: np.ndarray) -> np.ndarray:
+        """Leaf values ``(trees, rows)`` via the canonical arrays."""
+        n_rows = bins.shape[0]
         nodes = np.repeat(self.roots[:, None], n_rows, axis=1).astype(np.int64)
         rows = np.arange(n_rows)[None, :]
         for _ in range(self.depth):
             feat = self.feature[nodes]
-            go_left = binned[rows, feat] <= self.threshold[nodes]
+            go_left = bins[rows, feat] <= self.threshold[nodes]
             nodes = np.where(go_left, self.left[nodes], self.right[nodes])
-        leaf_values = self.value[nodes]  # (trees, batch)
-
-        raw = np.full(n_rows, base_score, dtype=np.float64)
-        for t in range(leaf_values.shape[0]):
-            raw = raw + leaf_values[t]
-        return raw
+        return self.value[nodes]
 
 
 # ----------------------------------------------------------------------

@@ -185,16 +185,16 @@ class GradientBoostingRegressor:
 
         Routed through the flattened
         :class:`~repro.ml.compiled.FlattenedForest` kernel (compiled
-        lazily on first predict, dropped on refit) unless compiled
-        inference is disabled; both paths are bit-identical.
+        lazily on first predict, dropped on refit), which bins inside
+        its traversal blocks, unless compiled inference is disabled;
+        both paths are bit-identical.
         """
         if self._mapper is None or not self._trees:
             raise NotFittedError("booster used before fit")
         features = np.asarray(features, dtype=float)
-        binned = self._mapper.transform(features)
         if compiled_kernels.is_enabled():
-            return self.compiled_forest().predict_raw(binned, self._base_score)
-        return self._predict_raw_binned_reference(binned)
+            return self.compiled_forest().predict_raw(features, self._base_score)
+        return self._predict_raw_binned_reference(self._mapper.transform(features))
 
     def predict_reference(self, features: np.ndarray) -> np.ndarray:
         """Response-scale prediction via the per-tree python traversal.
@@ -227,6 +227,7 @@ class GradientBoostingRegressor:
             self._compiled = FlattenedForest.from_trees(
                 [tree.flat_arrays() for tree in self._trees],
                 self.params.learning_rate,
+                self._mapper.bin_edges_,
             )
         return self._compiled
 

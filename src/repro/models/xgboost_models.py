@@ -36,7 +36,6 @@ curve and repairs crossings via
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import UnivariateSpline
 
 from repro.exceptions import ModelError
 from repro.ml import compiled as compiled_kernels
@@ -44,7 +43,7 @@ from repro.ml.gbm import BoosterParams, GradientBoostingRegressor, PinballLoss
 from repro.models.base import PCCPredictor
 from repro.models.dataset import PCCDataset
 from repro.pcc.curve import PowerLawPCC
-from repro.pcc.fitting import fit_power_law
+from repro.pcc.fitting import fit_power_law, fit_power_laws
 from repro.pcc.intervals import PCCInterval
 
 __all__ = ["XGBoostRuntimeModel", "XGBoostSS", "XGBoostPL", "reference_window"]
@@ -61,12 +60,18 @@ QUANTILE_HEAD_PARAMS = BoosterParams(
 
 
 def reference_window(
-    reference_tokens: float, num_points: int = 9, spread: float = 0.4
+    reference_tokens: float | np.ndarray,
+    num_points: int = 9,
+    spread: float = 0.4,
 ) -> np.ndarray:
-    """Token grid spanning +/-``spread`` of the reference count."""
-    if reference_tokens <= 0:
+    """Token grid spanning +/-``spread`` of the reference count.
+
+    Given an array of reference counts, returns one grid row per count.
+    """
+    references = np.asarray(reference_tokens, dtype=float)
+    if np.any(references <= 0):
         raise ModelError("reference token count must be positive")
-    grid = reference_tokens * np.linspace(1 - spread, 1 + spread, num_points)
+    grid = references[..., None] * np.linspace(1 - spread, 1 + spread, num_points)
     return np.maximum(1.0, grid)
 
 
@@ -271,6 +276,8 @@ class XGBoostSS(XGBoostRuntimeModel):
     def predict_curves(
         self, dataset: PCCDataset, grids: list[np.ndarray]
     ) -> list[np.ndarray]:
+        from scipy.interpolate import UnivariateSpline  # heavy; first use
+
         raw_curves = super().predict_curves(dataset, grids)
         smoothed = []
         for grid, curve in zip(grids, raw_curves):
@@ -312,9 +319,27 @@ class XGBoostPL(XGBoostRuntimeModel):
         self.window_spread = window_spread
 
     def predict_parameters(self, dataset: PCCDataset) -> np.ndarray:
-        """Fit ``(a, log b)`` through predictions near each reference."""
+        """Fit ``(a, log b)`` through predictions near each reference.
+
+        With compiled inference on, every reference window is one row of
+        a single token grid: one booster call scores the whole grid and
+        one :func:`~repro.pcc.fitting.fit_power_laws` pass refits every
+        row. Both are row-wise, so the parameters are bit-identical to
+        the per-job loop behind ``override(False)``.
+        """
         self._check_fitted()
         references = dataset.observed_tokens()
+        if compiled_kernels.is_enabled():
+            grid = reference_window(
+                references, self.window_points, self.window_spread
+            )
+            curves = self._predict_curves_batched(
+                dataset.job_feature_matrix(), list(grid), self._booster
+            )
+            a, b = fit_power_laws(grid, np.maximum(np.vstack(curves), 1e-9))
+            # log(b) of b = exp(log b): the same round trip through
+            # PowerLawPCC that the loop below takes, ulp for ulp.
+            return np.column_stack([a, np.log(b)])
         grids = [
             reference_window(ref, self.window_points, self.window_spread)
             for ref in references

@@ -26,6 +26,7 @@ from repro.pcc.fitting import (
     fit_from_skyline,
     fit_observations,
     fit_power_law,
+    fit_power_laws,
     fit_quality,
 )
 from repro.pcc.optimal import find_elbow, optimal_tokens, tokens_for_slowdown
@@ -41,6 +42,7 @@ __all__ = [
     "ShiftedPowerLawPCC",
     "fit_family",
     "fit_power_law",
+    "fit_power_laws",
     "fit_observations",
     "fit_from_skyline",
     "fit_quality",

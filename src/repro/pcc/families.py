@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import FittingError
 from repro.pcc.curve import PowerLawPCC
@@ -92,6 +91,8 @@ class AmdahlPCC:
         """Non-negative least squares on the basis ``[1, 1/A]``."""
         tokens, runtimes = _validate_observations(tokens, runtimes, 2)
         design = np.column_stack([np.ones_like(tokens), 1.0 / tokens])
+        from scipy import optimize  # heavy; imported on first use
+
         coefficients, _ = optimize.nnls(design, runtimes)
         serial, parallel = float(coefficients[0]), float(coefficients[1])
         if serial == 0 and parallel == 0:
@@ -140,6 +141,8 @@ class ShiftedPowerLawPCC:
         def residuals(params):
             a, b, c = params
             return b * np.power(tokens, a) + c - runtimes
+
+        from scipy import optimize  # heavy; imported on first use
 
         result = optimize.least_squares(
             residuals,

@@ -15,7 +15,13 @@ from repro.exceptions import FittingError
 from repro.obs import get_registry, trace
 from repro.pcc.curve import PowerLawPCC
 
-__all__ = ["fit_power_law", "fit_observations", "fit_from_skyline", "fit_quality"]
+__all__ = [
+    "fit_power_law",
+    "fit_power_laws",
+    "fit_observations",
+    "fit_from_skyline",
+    "fit_quality",
+]
 
 
 def fit_power_law(
@@ -24,6 +30,8 @@ def fit_power_law(
     weights: np.ndarray | None = None,
 ) -> PowerLawPCC:
     """Least-squares power-law fit in log-log space.
+
+    The one-row call of :func:`fit_power_laws`.
 
     Parameters
     ----------
@@ -43,34 +51,109 @@ def fit_power_law(
     runtimes = np.asarray(runtimes, dtype=float)
     if tokens.shape != runtimes.shape or tokens.ndim != 1:
         raise FittingError("tokens and runtimes must be equal-length vectors")
-    if tokens.size < 2:
+    a, b = fit_power_laws(
+        tokens[None],
+        runtimes[None],
+        None if weights is None else np.asarray(weights, dtype=float)[None],
+    )
+    return PowerLawPCC(a=float(a[0]), b=float(b[0]))
+
+
+def fit_power_laws(
+    tokens: np.ndarray,
+    runtimes: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One power law per row, fitted in one least-squares pass.
+
+    Row ``i`` of the ``(curves, observations)`` matrices holds one
+    curve's observations. Returns the ``(a, b)`` arrays of the fitted
+    curves: ``PowerLawPCC(a[i], b[i])`` is what
+    :func:`fit_power_law` returns for row ``i`` alone, bit for bit,
+    because every operation is elementwise and every sum runs along one
+    contiguous row, which numpy adds up exactly as the row on its own.
+
+    Raises :class:`FittingError` as a loop of :func:`fit_power_law`
+    calls would: with the first failing row's message, after counting
+    the fits that row's predecessors (and a row failing only the
+    :class:`PowerLawPCC` checks) completed.
+    """
+    tokens = np.asarray(tokens, dtype=float)
+    runtimes = np.asarray(runtimes, dtype=float)
+    if tokens.shape != runtimes.shape or tokens.ndim != 2:
+        raise FittingError("tokens and runtimes must be equal-shape matrices")
+    if tokens.shape[1] < 2:
         raise FittingError("need at least two observations to fit a PCC")
-    if np.any(tokens <= 0) or np.any(runtimes <= 0):
-        raise FittingError("tokens and runtimes must be positive")
-    if np.unique(tokens).size < 2:
-        raise FittingError("need at least two distinct token counts")
+
+    nonpositive = np.any(tokens <= 0, axis=1) | np.any(runtimes <= 0, axis=1)
+    # Fewer than two distinct tokens; NaNs are one value, as in np.unique.
+    first = tokens[:, :1]
+    single = np.all(
+        (tokens == first) | (np.isnan(tokens) & np.isnan(first)), axis=1
+    )
+    if weights is None:
+        w = np.ones_like(tokens)
+        bad_weights = np.zeros(tokens.shape[0], dtype=bool)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != tokens.shape:
+            bad_weights = np.ones(tokens.shape[0], dtype=bool)
+        else:
+            bad_weights = np.any(w < 0, axis=1) | (w.sum(axis=1) == 0)
+    invalid = nonpositive | single | bad_weights
+    if invalid.any():
+        row = _fit_rows_before(invalid, tokens, runtimes, weights)
+        if nonpositive[row]:
+            raise FittingError("tokens and runtimes must be positive")
+        if single[row]:
+            raise FittingError("need at least two distinct token counts")
+        raise FittingError("weights must be non-negative and not all zero")
 
     x = np.log(tokens)
     y = np.log(runtimes)
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape or np.any(w < 0) or w.sum() == 0:
-            raise FittingError("weights must be non-negative and not all zero")
-
-    w_sum = w.sum()
-    x_mean = (w * x).sum() / w_sum
-    y_mean = (w * y).sum() / w_sum
-    var_x = (w * (x - x_mean) ** 2).sum()
-    if var_x <= 0:
+    w_sum = w.sum(axis=1)
+    x_mean = (w * x).sum(axis=1) / w_sum
+    y_mean = (w * y).sum(axis=1) / w_sum
+    dx = x - x_mean[:, None]
+    var_x = (w * dx**2).sum(axis=1)
+    flat = var_x <= 0
+    if flat.any():
+        _fit_rows_before(flat, tokens, runtimes, weights)
         raise FittingError("token counts are not distinguishable in log space")
-    cov_xy = (w * (x - x_mean) * (y - y_mean)).sum()
+    cov_xy = (w * dx * (y - y_mean[:, None])).sum(axis=1)
     a = cov_xy / var_x
-    log_b = y_mean - a * x_mean
+    b = np.exp(y_mean - a * x_mean)
+
+    # The PowerLawPCC checks; the fit itself counted, as in the scalar.
+    unusable = ~(np.isfinite(a) & np.isfinite(b) & (b > 0))
+    fitted = int(np.argmax(unusable)) + 1 if unusable.any() else a.size
     if trace.enabled:
-        get_registry().counter("pcc_power_law_fits").increment()
-    return PowerLawPCC.from_log_parameters(a, log_b)
+        get_registry().counter("pcc_power_law_fits").increment(fitted)
+    if unusable.any():
+        row = fitted - 1
+        PowerLawPCC(a=float(a[row]), b=float(b[row]))  # raises its error
+    return a, b
+
+
+def _fit_rows_before(
+    failed: np.ndarray,
+    tokens: np.ndarray,
+    runtimes: np.ndarray,
+    weights: np.ndarray | None,
+) -> int:
+    """Fit the rows before the first failed one; return that row.
+
+    A loop of single fits reaches the first failed row only after
+    fitting (and counting, or failing on) every row before it.
+    """
+    row = int(np.argmax(failed))
+    if row:
+        fit_power_laws(
+            tokens[:row],
+            runtimes[:row],
+            None if weights is None else np.asarray(weights)[:row],
+        )
+    return row
 
 
 def fit_observations(

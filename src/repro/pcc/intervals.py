@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.exceptions import FittingError
 from repro.pcc.curve import PowerLawPCC
@@ -46,9 +45,11 @@ __all__ = [
 #: The three quantiles an interval represents, lo / mid / hi.
 INTERVAL_QUANTILES = (0.1, 0.5, 0.9)
 
-#: z-score of the hi quantile: risk weights are normalised so that
-#: ``risk=0.9`` lands exactly on the hi curve.
-_Z_HI = float(ndtri(INTERVAL_QUANTILES[2]))
+#: z-score of the hi quantile, ``float(scipy.special.ndtri(0.9))`` to
+#: the last bit: risk weights are normalised so that ``risk=0.9`` lands
+#: exactly on the hi curve. A literal, so importing this module does
+#: not import ``scipy.special``.
+_Z_HI = 1.2815515655446004
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,8 @@ def _risk_weight(risk: float) -> float:
     """Signed interpolation weight: 0 at the median, +1 at q90, -1 at q10."""
     if not 0.0 < risk < 1.0:
         raise FittingError("risk must be inside (0, 1)")
+    from scipy.special import ndtri  # heavy; imported on first use
+
     return float(ndtri(risk)) / _Z_HI
 
 

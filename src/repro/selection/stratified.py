@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import SelectionError
 from repro.features.encoders import StandardScaler
@@ -129,6 +128,8 @@ def ks_statistic(sample: np.ndarray, population: np.ndarray) -> float:
     population = np.asarray(population, dtype=float)
     if sample.size == 0 or population.size == 0:
         raise SelectionError("KS test requires non-empty samples")
+    from scipy import stats  # heavy; imported on first use
+
     return float(stats.ks_2samp(sample, population).statistic)
 
 

@@ -27,7 +27,6 @@ from typing import Any
 
 from repro.exceptions import ServingError
 from repro.scope.plan import QueryPlan
-from repro.scope.signatures import plan_signature
 from repro.tasq.pipeline import PlanFeatures, TokenRecommendation, featurize
 
 __all__ = ["LRUCache", "RecommendationCache", "FeatureCache"]
@@ -177,12 +176,16 @@ class FeatureCache:
         self._cache = LRUCache(capacity)
 
     @staticmethod
-    def key(plan: QueryPlan) -> tuple[str, str]:
-        return (plan.job_id, plan_signature(plan))
+    def key(plan: QueryPlan, signature: str) -> tuple[str, str]:
+        return (plan.job_id, signature)
 
-    def features_for(self, plan: QueryPlan) -> PlanFeatures:
-        """Cached features for ``plan``, computing and storing on miss."""
-        key = self.key(plan)
+    def features_for(self, plan: QueryPlan, signature: str) -> PlanFeatures:
+        """Cached features for ``plan``, computing and storing on miss.
+
+        ``signature`` is ``plan_signature(plan)``, which the caller has
+        already computed (the server hashes each plan once, at submit).
+        """
+        key = self.key(plan, signature)
         features = self._cache.get(key)
         if features is None:
             features = featurize(plan)

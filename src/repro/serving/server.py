@@ -455,7 +455,9 @@ class AllocationServer:
                 self._fallback(pending, "breaker_open")
             return
 
-        features = [self.feature_cache.features_for(p.plan) for p in live]
+        features = [
+            self.feature_cache.features_for(p.plan, p.signature) for p in live
+        ]
         scoring_started = self._clock()
         try:
             with trace.span("serving.score_batch", batch=len(live)):

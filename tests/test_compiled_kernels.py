@@ -11,6 +11,7 @@ The contract under test (see ``repro.ml.compiled``):
 * refitting a model drops its lazily compiled kernel.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -22,10 +23,14 @@ from repro.exceptions import ModelError
 from repro.ml import compiled
 from repro.ml.autograd import Tensor
 from repro.ml.compiled import FlattenedForest, FusedMLP, compile_network
-from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
+from repro.ml.gbm import BinMapper, BoosterParams, GradientBoostingRegressor
 from repro.ml.nn import Activation, Dense, Module, PCCParameterHead, Sequential
+from repro.models.dataset import PCCDataset
 from repro.models.nn_model import NNPCCModel
 from repro.models.xgboost_models import XGBoostPL, XGBoostRuntimeModel
+from repro.serving import AllocationServer, BreakerState, ResponseStatus
+from repro.tasq import ScoringPipeline
+from repro.tasq.pipeline import featurize
 
 
 def _training_data(seed=0, rows=300, cols=8):
@@ -95,30 +100,37 @@ class TestFlattenedForestExact:
         features, _ = _training_data()
         forest = fitted_booster.compiled_forest()
         assert forest._packed is not None
-        binned = fitted_booster._mapper.transform(features[:40])
-        base = fitted_booster._base_score
+        bins = forest.bin(features[:40])
         assert np.array_equal(
-            forest._predict_raw_packed(binned, base),
-            forest._predict_raw_unpacked(binned, base),
+            forest._walk_packed(bins), forest._walk_unpacked(bins)
         )
 
     def test_oversized_fields_fall_back_to_unpacked(self):
         # A hand-built single-split tree on feature 900: the 9-bit packed
         # encoding cannot represent it, so packing must be skipped while
-        # prediction still works through the unpacked walk.
+        # prediction still works through the unpacked walk. Feature 900's
+        # edges sit at 0.5, 1.5, ..., so a value v lands in bin v.
         feature = np.array([900, 0, 0], dtype=np.int64)
         threshold = np.array([3, -1, -1], dtype=np.int64)
         left = np.array([1, 1, 2], dtype=np.int64)
         right = np.array([2, 1, 2], dtype=np.int64)
         value = np.array([0.0, -1.5, 2.5])
+        bin_edges = [np.empty(0)] * 900 + [np.arange(255) + 0.5]
         forest = FlattenedForest.from_trees(
-            [(feature, threshold, left, right, value)], learning_rate=0.5
+            [(feature, threshold, left, right, value)],
+            learning_rate=0.5,
+            bin_edges=bin_edges,
         )
         assert forest._packed is None
-        binned = np.zeros((2, 901), dtype=np.uint8)
-        binned[1, 900] = 10
-        raw = forest.predict_raw(binned, base_score=1.0)
+        features = np.zeros((2, 901))
+        features[1, 900] = 10.0
+        raw = forest.predict_raw(features, base_score=1.0)
         assert np.array_equal(raw, np.array([1.0 - 0.75, 1.0 + 1.25]))
+
+    def test_rejects_features_of_the_wrong_width(self, fitted_booster):
+        forest = fitted_booster.compiled_forest()
+        with pytest.raises(ModelError):
+            forest.predict_raw(np.zeros((2, forest.num_features + 1)), 0.0)
 
     @given(
         seed=st.integers(0, 2**16),
@@ -145,6 +157,101 @@ class TestFlattenedForestExact:
         assert np.array_equal(
             model.predict(batch), model.predict_reference(batch)
         )
+
+
+def _adversarial_batch(mapper, rows, seed):
+    """Values on edges, between them, beyond them, NaN and +-inf."""
+    rng = np.random.default_rng(seed)
+    edges = mapper.bin_edges_
+    batch = rng.uniform(-1.0, 11.0, size=(rows, len(edges)))
+    for j, column_edges in enumerate(edges):
+        on_edge = (np.arange(rows) + j) % 2 == 0
+        if column_edges.size:
+            batch[on_edge, j] = rng.choice(column_edges, size=on_edge.sum())
+    flat = batch.reshape(-1)  # strides coprime to the width hit every column
+    flat[0::7] = np.nan
+    flat[3::7] = np.inf
+    flat[5::7] = -np.inf
+    return batch
+
+
+class TestInKernelBinning:
+    """The forest bins each block exactly as ``BinMapper.transform``."""
+
+    @pytest.fixture(scope="class")
+    def booster(self):
+        features, targets = _training_data(seed=20)
+        features[:, 3] = 2.0  # a constant column: a feature with no edges
+        params = BoosterParams(n_estimators=25, max_depth=4)
+        return GradientBoostingRegressor(params, seed=21).fit(features, targets)
+
+    @pytest.mark.parametrize("rows", [1, 127, 128, 129])
+    def test_bins_match_bin_mapper(self, booster, rows):
+        batch = _adversarial_batch(booster._mapper, rows, seed=rows)
+        assert booster._mapper.bin_edges_[3].size == 0
+        assert np.isnan(batch).any() and np.isinf(batch).any()
+        assert np.array_equal(
+            booster.compiled_forest().bin(batch),
+            booster._mapper.transform(batch),
+        )
+
+    @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
+    def test_predictions_match_reference_across_blocks(self, booster, rows):
+        batch = _adversarial_batch(booster._mapper, rows, seed=100 + rows)
+        assert np.array_equal(
+            booster.predict_raw(batch), booster.predict_raw_reference(batch)
+        )
+
+    def test_non_finite_edges_bin_like_searchsorted(self):
+        # A mapper fitted on non-finite values holds inf and NaN edges.
+        column = np.array([-np.inf, 1.0, 2.0, 2.0, np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            mapper = BinMapper(8).fit(
+                np.column_stack([column, column[::-1], np.arange(6.0)])
+            )
+        assert any(np.isnan(e).any() for e in mapper.bin_edges_)
+        assert any(np.isinf(e).any() for e in mapper.bin_edges_)
+        leaf = (
+            np.array([-1]), np.array([-1]), np.array([-1]), np.array([-1]),
+            np.array([0.0]),
+        )
+        forest = FlattenedForest.from_trees([leaf], 0.1, mapper.bin_edges_)
+        values = np.array([-np.inf, -1.0, 1.0, 1.5, 2.0, 3.0, np.inf, np.nan])
+        batch = np.array(np.meshgrid(values, values, values)).reshape(3, -1).T
+        assert np.array_equal(forest.bin(batch), mapper.transform(batch))
+
+
+class TestLeafAccumulation:
+    """One cumsum down the tree axis adds leaves in the reference's order.
+
+    A reduction that pairs the additions differently (``sum`` over a
+    one-row block is pairwise) changes the last bits, so single rows
+    are checked one by one.
+    """
+
+    @pytest.fixture(scope="class")
+    def booster(self):
+        features, targets = _training_data(seed=30, rows=400)
+        params = BoosterParams(n_estimators=120, max_depth=5, subsample=0.9)
+        return GradientBoostingRegressor(params, seed=31).fit(features, targets)
+
+    @pytest.mark.parametrize("walk", ["packed", "unpacked"])
+    def test_matches_sequential_reference(self, booster, walk, monkeypatch):
+        forest = booster.compiled_forest()
+        assert forest._packed is not None
+        if walk == "unpacked":
+            monkeypatch.setattr(forest, "_packed", None)
+        features, _ = _training_data(seed=32, rows=300)
+        for row in features[:40]:
+            assert np.array_equal(
+                booster.predict_raw(row[None]),
+                booster.predict_raw_reference(row[None]),
+            )
+        for rows in (2, 128, 129, 300):
+            assert np.array_equal(
+                booster.predict_raw(features[:rows]),
+                booster.predict_raw_reference(features[:rows]),
+            )
 
 
 class TestFusedMLP:
@@ -336,6 +443,55 @@ class TestModelLayerRouting:
             reference_params = model.predict_parameters(dataset)
         assert np.array_equal(compiled_params, reference_params)
 
+    @pytest.fixture(scope="class", params=[1.0, 1e-3], ids=["s", "ms"])
+    def pl_fit(self, request, dataset):
+        """XGBoost PL on run times scaled by ``param``.
+
+        Scaled to milliseconds, many fitted ``log b`` fall below 1,
+        where ``log(exp(log b))`` often differs from ``log b`` in the
+        last bit, so the refit's exp/log round trip shows.
+        """
+        scale = request.param
+        scaled = PCCDataset(
+            [
+                dataclasses.replace(
+                    example,
+                    observed_runtime=example.observed_runtime * scale,
+                    point_observations=tuple(
+                        dataclasses.replace(o, runtime=o.runtime * scale)
+                        for o in example.point_observations
+                    ),
+                )
+                for example in dataset.examples
+            ]
+        )
+        model = XGBoostPL(BoosterParams(n_estimators=40, max_depth=4))
+        return model.fit(scaled), scaled
+
+    @pytest.mark.parametrize("tokens", [1, 2, 5_000_000])
+    def test_xgboost_pl_batched_refit_matches_per_job_loop(
+        self, pl_fit, tokens
+    ):
+        # Small requests clip their window at one token; a large one
+        # puts the whole window beyond the training range.
+        model, dataset = pl_fit
+        scoring = PCCDataset(
+            [
+                dataclasses.replace(example, observed_tokens=float(tokens))
+                for example in dataset.examples
+            ]
+        )
+        batched = model.predict_parameters(scoring)
+        with compiled.override(False):
+            looped = model.predict_parameters(scoring)
+        assert batched.tobytes() == looped.tobytes()
+        for row in range(0, len(scoring), 7):
+            alone = PCCDataset([scoring.examples[row]])
+            assert (
+                model.predict_parameters(alone).tobytes()
+                == looped[row : row + 1].tobytes()
+            )
+
     def test_nn_routing_and_reference(self, dataset):
         from repro.models.training import TrainConfig
 
@@ -354,3 +510,64 @@ class TestModelLayerRouting:
         assert first is not None
         model.fit(dataset)  # refit drops the fused pass
         assert model._compiled is None
+
+
+def _with_estimate(plan, value):
+    """``plan`` with its first operator's output cardinality set to ``value``."""
+    op_id = plan.topological_order[0]
+    nodes = dict(plan.nodes)
+    nodes[op_id] = dataclasses.replace(nodes[op_id], output_cardinality=value)
+    return dataclasses.replace(plan, nodes=nodes)
+
+
+class TestNonFiniteEstimates:
+    """A NaN or +inf compile-time estimate is scored, not rejected.
+
+    ``log1p`` keeps the estimate non-finite, the job vector's mean
+    carries it, and binning puts NaN and +inf above every edge, as
+    ``searchsorted`` does. No check stops such a row: XGBoost PL answers
+    it, and the compiled and reference paths answer alike.
+    """
+
+    @pytest.fixture(scope="class")
+    def pl_model(self, dataset):
+        return XGBoostPL(BoosterParams(n_estimators=30, max_depth=4)).fit(
+            dataset
+        )
+
+    def test_compiled_and_reference_answer_alike(self, pl_model, workload_jobs):
+        jobs = workload_jobs[:12]
+        tokens = [job.requested_tokens for job in jobs]
+        answers = {}
+        for value in (np.nan, np.inf):
+            plans = [_with_estimate(job.plan, value) for job in jobs]
+            assert all(
+                not np.isfinite(featurize(plan).job_vector[0]) for plan in plans
+            )
+            fast = ScoringPipeline(pl_model).score_batch(plans, tokens)
+            slow = ScoringPipeline(pl_model, use_compiled=False).score_batch(
+                plans, tokens
+            )
+            assert all(answer is not None for answer in fast)
+            answers[value] = [
+                (r.optimal_tokens, r.pcc.a, r.pcc.b, r.predicted_runtime_at_optimal)
+                for r in fast
+            ]
+            assert answers[value] == [
+                (r.optimal_tokens, r.pcc.a, r.pcc.b, r.predicted_runtime_at_optimal)
+                for r in slow
+            ]
+        # NaN lands in the same bin as +inf, so the answers coincide.
+        assert answers[np.nan] == answers[np.inf]
+
+    def test_served_ok_without_a_breaker_failure(self, pl_model, workload_jobs):
+        job = workload_jobs[0]
+        plan = _with_estimate(job.plan, np.nan)
+        expected = ScoringPipeline(pl_model, use_compiled=False).score(
+            plan, job.requested_tokens
+        )
+        with AllocationServer(ScoringPipeline(pl_model)) as server:
+            response = server.request(plan, job.requested_tokens)
+            assert server.breaker.state is BreakerState.CLOSED
+        assert response.status is ResponseStatus.OK
+        assert response.tokens == expected.optimal_tokens

@@ -1,5 +1,7 @@
 """Unit tests for featurization (Tables 1-2)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,30 @@ from repro.features import (
     plan_feature_matrix,
     plan_to_graph_sample,
 )
-from repro.scope import OperatorNode, PartitioningMethod, QueryPlan
+from repro.scope import (
+    OperatorNode,
+    PartitioningMethod,
+    QueryPlan,
+    WorkloadConfig,
+    WorkloadGenerator,
+)
+
+
+def _reference_operator_vector(node, schema=OPERATOR_SCHEMA):
+    """The per-operator featurization that ``plan_feature_matrix`` batches."""
+    vector = np.zeros(schema.operator_dim, dtype=np.float64)
+    continuous = np.array(
+        [getattr(node, name) for name in schema.continuous], dtype=float
+    )
+    vector[schema.continuous_slice()] = np.log1p(np.clip(continuous, 0.0, None))
+    vector[schema.discrete_slice()] = [
+        float(getattr(node, name)) for name in schema.discrete
+    ]
+    kind_index = schema.operator_kinds.index(node.kind)
+    vector[schema.operator_kind_slice()][kind_index] = 1.0
+    part_index = schema.partitioning_methods.index(node.partitioning)
+    vector[schema.partitioning_slice()][part_index] = 1.0
+    return vector
 
 
 @pytest.fixture()
@@ -102,6 +127,39 @@ class TestOperatorVector:
         for row, op_id in zip(matrix, small_plan.topological_order):
             expected = operator_vector(small_plan.nodes[op_id])
             assert np.allclose(row, expected)
+
+    @pytest.mark.parametrize("recurring_fraction", [0.0, 1.0])
+    def test_plan_matrix_matches_per_operator_loop_bit_for_bit(
+        self, recurring_fraction
+    ):
+        config = WorkloadConfig(recurring_fraction=recurring_fraction)
+        jobs = WorkloadGenerator(config, seed=17).generate(260)
+        for job in jobs:
+            plan = job.plan
+            want = np.vstack(
+                [
+                    _reference_operator_vector(plan.nodes[op_id])
+                    for op_id in plan.topological_order
+                ]
+            )
+            got = plan_feature_matrix(plan)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_operator_vector_is_the_one_row_matrix(self, small_plan):
+        for node in small_plan.nodes.values():
+            got = operator_vector(node)
+            assert got.shape == (OPERATOR_SCHEMA.operator_dim,)
+            assert got.tobytes() == _reference_operator_vector(node).tobytes()
+
+    def test_non_finite_estimates_pass_through_the_log(self, small_plan):
+        node = small_plan.nodes[1]
+        for value in (np.nan, np.inf, -np.inf, -5.0):
+            odd = dataclasses.replace(node, output_cardinality=value)
+            assert (
+                operator_vector(odd).tobytes()
+                == _reference_operator_vector(odd).tobytes()
+            )
 
 
 class TestJobVector:

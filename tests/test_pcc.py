@@ -5,12 +5,15 @@ import pytest
 
 from repro.arepas import default_token_grid
 from repro.exceptions import FittingError
+from repro.obs import get_registry, trace
+from repro.obs.metrics import reset_registry
 from repro.pcc import (
     PowerLawPCC,
     find_elbow,
     fit_from_skyline,
     fit_observations,
     fit_power_law,
+    fit_power_laws,
     fit_quality,
     optimal_tokens,
     tokens_for_slowdown,
@@ -124,6 +127,102 @@ class TestFitting:
         quality = fit_quality(pcc, tokens, pcc.runtime(tokens))
         assert quality["r_squared"] == pytest.approx(1.0)
         assert quality["median_ape"] == pytest.approx(0.0)
+
+
+def _scalar_fit(tokens, runtimes, weights=None):
+    """The per-curve least squares that ``fit_power_laws`` batches."""
+    x = np.log(tokens)
+    y = np.log(runtimes)
+    w = np.ones_like(x) if weights is None else weights
+    w_sum = w.sum()
+    x_mean = (w * x).sum() / w_sum
+    y_mean = (w * y).sum() / w_sum
+    var_x = (w * (x - x_mean) ** 2).sum()
+    cov_xy = (w * (x - x_mean) * (y - y_mean)).sum()
+    a = cov_xy / var_x
+    return PowerLawPCC.from_log_parameters(a, y_mean - a * x_mean)
+
+
+class TestFitPowerLaws:
+    """One least-squares pass over many curves, bit for bit per curve."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("points", [2, 9, 17])
+    def test_rows_match_the_scalar_fit(self, weighted, points):
+        rng = np.random.default_rng(points)
+        spread = np.linspace(0.5, 2.0, points) * rng.uniform(0.9, 1.1, points)
+        tokens = rng.uniform(1.0, 800.0, size=(200, 1)) * spread
+        exponent = rng.uniform(-1.5, 0.3, size=(200, 1))
+        noise = rng.lognormal(0.0, 0.2, size=(200, points))
+        runtimes = rng.uniform(10.0, 1e4, size=(200, 1)) * tokens**exponent * noise
+        weights = rng.uniform(0.1, 5.0, size=(200, points)) if weighted else None
+        a, b = fit_power_laws(tokens, runtimes, weights)
+        for row in range(200):
+            row_weights = None if weights is None else weights[row]
+            want = _scalar_fit(tokens[row], runtimes[row], row_weights)
+            got = fit_power_law(tokens[row], runtimes[row], row_weights)
+            assert (a[row], b[row]) == (want.a, want.b) == (got.a, got.b)
+
+    @pytest.fixture()
+    def fits_counted(self):
+        trace.reset()
+        reset_registry()
+        trace.enable()
+        yield lambda: get_registry().snapshot()["counters"].get(
+            "pcc_power_law_fits", 0
+        )
+        trace.disable()
+        trace.reset()
+        reset_registry()
+
+    def test_counts_one_fit_per_row(self, fits_counted):
+        tokens = np.tile([10.0, 20.0, 40.0], (5, 1))
+        fit_power_laws(tokens, 1000.0 / tokens)
+        assert fits_counted() == 5
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad_row, message, fitted",
+        [
+            ([[1.0, 2.0], [3.0, -1.0]], "positive", 1),
+            ([[2.0, 2.0], [5.0, 7.0]], "distinct", 1),
+            ([[np.nan, np.nan], [5.0, 7.0]], "distinct", 1),
+            ([[1.0, 2.0], [np.inf, np.inf]], "finite", 2),
+        ],
+    )
+    def test_first_failing_row_decides_the_error(
+        self, fits_counted, bad_row, message, fitted
+    ):
+        # Row 0 is fine; the failing row comes next and is followed by
+        # a row that fails an earlier check, as a loop would never see.
+        tokens = np.array([[10.0, 20.0], [1.0, 2.0], [0.0, 1.0]])
+        runtimes = np.array([[50.0, 30.0], [1.0, 1.0], [1.0, 1.0]])
+        tokens[1], runtimes[1] = bad_row
+        with pytest.raises(FittingError, match=message):
+            fit_power_laws(tokens, runtimes)
+        assert fits_counted() == fitted
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_counts_fits_up_to_an_unusable_curve(self, fits_counted):
+        # Row 1 fits (its least squares runs) but gives no finite curve.
+        tokens = np.tile([10.0, 20.0], (3, 1))
+        runtimes = np.array([[50.0, 30.0], [np.inf, np.inf], [50.0, 30.0]])
+        with pytest.raises(FittingError, match="finite"):
+            fit_power_laws(tokens, runtimes)
+        assert fits_counted() == 2
+
+    def test_rejects_bad_weights_per_row(self):
+        tokens = np.tile([10.0, 20.0], (2, 1))
+        with pytest.raises(FittingError, match="weights"):
+            fit_power_laws(tokens, tokens, np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(FittingError, match="weights"):
+            fit_power_laws(tokens, tokens, np.ones((2, 3)))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(FittingError):
+            fit_power_laws(np.ones((2, 3)), np.ones((3, 2)))
+        with pytest.raises(FittingError):
+            fit_power_laws(np.ones((2, 1)), np.ones((2, 1)))
 
 
 class TestOptimalTokens:

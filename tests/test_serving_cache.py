@@ -106,7 +106,7 @@ class TestFeatureCache:
     def test_matches_direct_featurization(self, workload_jobs):
         plan = workload_jobs[0].plan
         cache = FeatureCache(8)
-        cached = cache.features_for(plan)
+        cached = cache.features_for(plan, plan_signature(plan))
         direct = featurize(plan)
         np.testing.assert_allclose(cached.job_vector, direct.job_vector)
         np.testing.assert_allclose(
@@ -117,8 +117,8 @@ class TestFeatureCache:
     def test_second_lookup_hits(self, workload_jobs):
         plan = workload_jobs[0].plan
         cache = FeatureCache(8)
-        first = cache.features_for(plan)
-        second = cache.features_for(plan)
+        first = cache.features_for(plan, plan_signature(plan))
+        second = cache.features_for(plan, plan_signature(plan))
         assert first is second
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
@@ -135,6 +135,6 @@ class TestFeatureCache:
             by_signature[signature] = job
         assert pair is not None
         cache = FeatureCache(8)
-        cache.features_for(pair[0].plan)
-        cache.features_for(pair[1].plan)
+        cache.features_for(pair[0].plan, plan_signature(pair[0].plan))
+        cache.features_for(pair[1].plan, plan_signature(pair[1].plan))
         assert len(cache) == 2

@@ -25,6 +25,7 @@ from repro.serving import (
     ServerConfig,
     build_server,
 )
+from repro.serving import server as server_module
 from repro.tasq import ModelStore, ScoringPipeline, TokenRecommendation
 
 
@@ -243,6 +244,26 @@ class TestScoringPaths:
         assert all(r.status is ResponseStatus.OK for r in responses)
         assert pipeline.calls == [1] * 24
         assert float(np.median([r.latency_s for r in responses])) < 0.002
+
+    def test_each_request_hashes_its_plan_once(self, plans, monkeypatch):
+        hashed = []
+
+        def counting_signature(plan):
+            hashed.append(plan.job_id)
+            return plan_signature(plan)
+
+        monkeypatch.setattr(server_module, "plan_signature", counting_signature)
+        pipeline = ScoringPipeline(StubPredictor())
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
+            responses = [server.request(plan, 40) for plan in plans[:6]]
+            assert len(server.feature_cache) == sum(
+                r.status is ResponseStatus.OK for r in responses
+            )
+        assert all(
+            r.status in (ResponseStatus.OK, ResponseStatus.CACHED)
+            for r in responses
+        )
+        assert hashed == [plan.job_id for plan in plans[:6]]
 
     def test_works_with_real_scoring_pipeline(self, plans):
         pipeline = ScoringPipeline(StubPredictor())
