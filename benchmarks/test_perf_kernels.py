@@ -6,7 +6,7 @@ useful for catching performance regressions:
 
 * AREPAS skyline simulation,
 * the cluster executor,
-* featurization (job vectors + graph samples),
+* featurization (job vector and graph sample from one operator matrix),
 * one boosting round and one NN training epoch,
 * one GNN encoder forward-plus-backward step on 32 packed graphs,
 * the offline pipeline hot paths: ``build_dataset`` end-to-end, the
@@ -36,7 +36,7 @@ import pytest
 
 from repro.arepas import AREPAS
 from repro.cache import ArtifactCache
-from repro.features import job_vector, plan_to_graph_sample
+from repro.features import featurize
 from repro.ml.blas import single_thread
 from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
 from repro.ml.gnn import GNNEncoder, PackedGraphs
@@ -114,24 +114,10 @@ def test_perf_cluster_executor(benchmark, train_repo):
     )
 
 
-def test_perf_job_featurization(benchmark, train_repo):
+def test_perf_featurization(benchmark, train_repo):
     plans = [r.plan for r in train_repo.records()[:50]]
-
-    def featurize():
-        return [job_vector(plan) for plan in plans]
-
-    vectors = benchmark(featurize)
-    assert len(vectors) == 50
-
-
-def test_perf_graph_featurization(benchmark, train_repo):
-    plans = [r.plan for r in train_repo.records()[:50]]
-
-    def featurize():
-        return [plan_to_graph_sample(plan) for plan in plans]
-
-    samples = benchmark(featurize)
-    assert len(samples) == 50
+    features = benchmark(lambda: [featurize(plan) for plan in plans])
+    assert len(features) == 50
 
 
 def test_perf_gbm_fit(benchmark, rng):

@@ -1,17 +1,10 @@
 """Featurization: Table 1 schema, operator/job/graph feature extraction."""
 
 from repro.features.encoders import StandardScaler, TargetScaler, log1p_continuous
-from repro.features.graph_features import (
-    GraphSample,
-    normalized_adjacency,
-    plan_to_graph_sample,
-)
-from repro.features.job_features import (
-    job_feature_matrix,
-    job_feature_names,
-    job_vector,
-)
+from repro.features.graph_features import GraphSample, normalized_adjacency
+from repro.features.job_features import job_feature_matrix, job_feature_names
 from repro.features.operator_features import operator_vector, plan_feature_matrix
+from repro.features.plan_features import PlanFeatures, featurize
 from repro.features.schema import (
     CONTINUOUS_FEATURES,
     DISCRETE_FEATURES,
@@ -28,12 +21,12 @@ __all__ = [
     "JOB_EXTRA_FEATURES",
     "operator_vector",
     "plan_feature_matrix",
-    "job_vector",
+    "PlanFeatures",
+    "featurize",
     "job_feature_matrix",
     "job_feature_names",
     "GraphSample",
     "normalized_adjacency",
-    "plan_to_graph_sample",
     "StandardScaler",
     "TargetScaler",
     "log1p_continuous",

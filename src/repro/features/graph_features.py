@@ -17,14 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import FeaturizationError
-from repro.features.operator_features import plan_feature_matrix
-from repro.features.schema import OPERATOR_SCHEMA, FeatureSchema
 from repro.scope.plan import QueryPlan
 
 __all__ = [
     "normalized_adjacency",
     "GraphSample",
-    "plan_to_graph_sample",
     "graph_sample_from_matrix",
 ]
 
@@ -58,13 +55,6 @@ class GraphSample:
     @property
     def num_nodes(self) -> int:
         return int(self.node_features.shape[0])
-
-
-def plan_to_graph_sample(
-    plan: QueryPlan, schema: FeatureSchema = OPERATOR_SCHEMA
-) -> GraphSample:
-    """Featurize a plan for the GNN: (node matrix, normalised adjacency)."""
-    return graph_sample_from_matrix(plan_feature_matrix(plan, schema), plan)
 
 
 def graph_sample_from_matrix(

@@ -19,28 +19,19 @@ from repro.features.schema import JOB_EXTRA_FEATURES, OPERATOR_SCHEMA, FeatureSc
 from repro.scope.plan import QueryPlan
 
 __all__ = [
-    "job_vector",
     "job_vector_from_matrix",
     "job_feature_matrix",
     "job_feature_names",
 ]
 
 
-def job_vector(
-    plan: QueryPlan, schema: FeatureSchema = OPERATOR_SCHEMA
-) -> np.ndarray:
-    """Aggregate a plan into a ``P_J``-width job-level vector."""
-    return job_vector_from_matrix(plan_feature_matrix(plan, schema), plan, schema)
-
-
 def job_vector_from_matrix(
     matrix: np.ndarray, plan: QueryPlan, schema: FeatureSchema = OPERATOR_SCHEMA
 ) -> np.ndarray:
-    """Aggregate an already-computed operator feature matrix.
+    """Aggregate a plan's operator feature matrix into a ``P_J``-width vector.
 
-    Lets callers that need both the job vector and the GNN graph sample
-    (e.g. :func:`repro.tasq.pipeline.featurize`) run the per-operator
-    featurization once instead of once per representation.
+    :func:`repro.features.featurize` derives the job vector and the GNN
+    graph sample from one matrix.
     """
     vector = np.zeros(schema.job_dim, dtype=np.float64)
 
@@ -60,7 +51,14 @@ def job_feature_matrix(
     plans: list[QueryPlan], schema: FeatureSchema = OPERATOR_SCHEMA
 ) -> np.ndarray:
     """Stack job vectors for a list of plans into an ``M x P_J`` matrix."""
-    return np.vstack([job_vector(plan, schema) for plan in plans])
+    return np.vstack(
+        [
+            job_vector_from_matrix(
+                plan_feature_matrix(plan, schema), plan, schema
+            )
+            for plan in plans
+        ]
+    )
 
 
 def job_feature_names(schema: FeatureSchema = OPERATOR_SCHEMA) -> list[str]:

@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.arepas.validation import count_outlier_executions
 from repro.exceptions import FlightingError
-from repro.features.graph_features import plan_to_graph_sample
-from repro.features.job_features import job_vector
+from repro.features.plan_features import featurize
 from repro.flighting.flight import Flight, FlightHarness
 from repro.models.dataset import PCCDataset, PCCExample
 from repro.arepas.augmentation import AugmentedObservation
@@ -166,14 +165,15 @@ class FlightedDataset:
                 )
                 for tokens, runtime in sorted(job.runtime_by_tokens().items())
             )
+            features = featurize(record.plan)
             dataset.examples.append(
                 PCCExample(
                     job_id=record.job_id,
                     observed_tokens=float(job.reference_tokens),
                     observed_runtime=job.reference_runtime(),
                     target_pcc=job.ground_truth_pcc(),
-                    job_features=job_vector(record.plan),
-                    graph=plan_to_graph_sample(record.plan),
+                    job_features=features.job_vector,
+                    graph=features.graph,
                     point_observations=observations,
                 )
             )

@@ -6,24 +6,18 @@ per-tree python recursion in ``ml.gbm`` and layer-by-layer autograd
 tensors in ``ml.nn``. This module "compiles" fitted models into shapes
 the CPU likes:
 
-* :class:`FlattenedForest` — every tree of a fitted booster flattened
-  into one set of contiguous parallel arrays (feature index / bin
-  threshold / left child / right child / scaled leaf value) plus per-tree
-  root offsets. Prediction walks *all trees over the whole batch at
-  once*, advancing a ``(tree, row)`` node matrix branchlessly for a
-  fixed ``depth`` iterations — leaves are rewritten as self-loops so no
-  per-row termination test is needed. On top of that layout the
-  constructor builds a gather-minimal encoding: nodes are renumbered by
-  level-synchronous BFS so each split's children are adjacent
-  (``right == left + 1``, making the step ``nodes = left + go_right``
-  with no ``np.where``), and each node's ``(left, feature,
-  threshold+1)`` is packed into one int64, so a traversal step costs a
-  single node gather, one feature-value gather, and a handful of
-  elementwise ops. Rows are processed in blocks of 128 to keep the
-  gather working set cache-resident, and each block is binned inside
-  the kernel by a branchless binary search over a padded per-feature
-  edge table: one search for all ``rows x features`` values in place of
-  one ``searchsorted`` call per feature column.
+* :class:`FlattenedForest` — every tree of a fitted booster in one
+  breadth-first node table: one level-synchronous BFS over the whole
+  forest numbers the nodes, so each split's two children sit in
+  adjacent slots and the right child is ``child + 1``. Prediction walks
+  *all trees over a block of rows at once*, advancing a ``(tree, row)``
+  node matrix for a fixed ``depth`` of steps; a leaf points at itself
+  and holds a threshold no bin exceeds, so no row needs a termination
+  test. Rows are processed in blocks of 128 to keep the gather working set
+  cache-resident, and each block is binned inside the kernel by a
+  branchless binary search over a padded per-feature edge table: one
+  search for all ``rows x features`` values in place of one
+  ``searchsorted`` call per feature column.
 
   The kernel is **bit-identical** to the reference python traversal:
   bins equal ``BinMapper.transform``'s (NaN and +-inf included), leaf
@@ -112,27 +106,27 @@ def override(enabled: bool) -> Iterator[None]:
 # flattened GBM forest
 # ----------------------------------------------------------------------
 
-#: Rows per traversal block: (trees x 128) int64 node/packed matrices
-#: stay small enough that the per-step gathers hit L2.
+#: Rows per traversal block: (trees x 128) int64 node matrices stay
+#: small enough that the per-step gathers hit L2.
 _TRAVERSAL_BLOCK = 128
-
-#: Leaf sentinel stored in the packed threshold field. ``BinMapper``
-#: emits uint8 bins (<= 255), so ``bin > _LEAF_THRESHOLD - 1`` is never
-#: true and a leaf's self-loop child is always taken.
-_LEAF_THRESHOLD = 300
 
 
 class FlattenedForest:
-    """A fitted tree ensemble as contiguous node arrays.
+    """A fitted tree ensemble as one breadth-first node table.
 
-    Canonical layout (one slot per node, all trees concatenated)::
+    One slot per node of every tree, numbered by one level-synchronous
+    BFS over the whole forest: the roots take the first slots, and each
+    split's two children take adjacent ones::
 
-        feature    int32    split feature, 0 for leaves (self-loop)
-        threshold  int64    bin threshold, -1 for leaves
-        left       int32    child if bin <= threshold; leaf -> itself
-        right      int32    child otherwise;           leaf -> itself
-        value      float64  learning_rate * leaf weight (0 internally)
-        roots      int32    first node of each tree
+        child      int64    left child (the right one is child + 1);
+                            a leaf points at itself
+        feature    int64    split feature, 0 at leaves
+        threshold  int64    go right iff bin > threshold; leaves hold
+                            the int64 maximum, which no bin exceeds
+        value      float64  learning_rate * leaf weight
+        roots      int64    each tree's root slot
+        depth      int      BFS levels - 1: every row is at its leaf
+                            after this many steps
 
     plus the booster's bin edges, one row per feature, as a search
     table::
@@ -141,23 +135,10 @@ class FlattenedForest:
                              to a power-of-two width above the widest
         edge_count  int64    number of (non-NaN) edges per feature
 
-    The constructor additionally derives a packed traversal encoding:
-    nodes renumbered level-synchronous-BFS (children of each split are
-    adjacent, so ``right`` is implicit) with one int64 word per node::
+    A step advances every ``(tree, row)`` node of a block at once, and a
+    leaf's self-loop keeps it in place, so no row tests for the end::
 
-        packed = (left << 18) | (feature << 9) | (threshold + 1)
-
-    Leaves store themselves as ``left`` and ``_LEAF_THRESHOLD`` in the
-    threshold field, which no uint8 bin can exceed. A traversal step is
-    then one node gather, one feature gather and four elementwise ops::
-
-        p = packed[nodes]
-        nodes = (p >> 18) + (bins[(p >> 9) & 511] > (p & 511) - 1)
-
-    Ensembles whose fields overflow the 9-bit packing (features >= 512,
-    thresholds > 298 or a feature with 300 or more edges — impossible
-    for ``BinMapper``-binned trees) fall back to an unpacked
-    ``np.where`` walk over the canonical arrays.
+        nodes = child[nodes] + (bins[feature[nodes] + row_offsets] > threshold[nodes])
 
     ``predict_raw`` takes unbinned features and is bit-identical to
     ``GradientBoostingRegressor.predict_raw_reference``.
@@ -165,27 +146,21 @@ class FlattenedForest:
 
     def __init__(
         self,
+        child: np.ndarray,
         feature: np.ndarray,
         threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
         value: np.ndarray,
         roots: np.ndarray,
         depth: int,
         bin_edges: Sequence[np.ndarray],
     ) -> None:
+        self.child = child
         self.feature = feature
         self.threshold = threshold
-        self.left = left
-        self.right = right
         self.value = value
         self.roots = roots
         self.depth = int(depth)
         self._build_edge_table(bin_edges)
-        self._packed: np.ndarray | None = None
-        self._packed_value: np.ndarray | None = None
-        self._packed_roots: np.ndarray | None = None
-        self._pack()
 
     def _build_edge_table(self, bin_edges: Sequence[np.ndarray]) -> None:
         """Pad every feature's edges with +inf into one search table."""
@@ -209,52 +184,6 @@ class FlattenedForest:
             for step in (1 << k for k in reversed(range(width.bit_length() - 1)))
         ]
 
-    def _pack(self) -> None:
-        """Build the BFS-renumbered packed encoding (or leave it off)."""
-        n = self.feature.shape[0]
-        left = self.left.astype(np.int64)
-        right = self.right.astype(np.int64)
-        feature = self.feature.astype(np.int64)
-        threshold = self.threshold.astype(np.int64)
-        is_leaf = left == np.arange(n, dtype=np.int64)
-        split_features = feature[~is_leaf]
-        split_thresholds = threshold[~is_leaf]
-        if self.edge_count.max(initial=0) >= _LEAF_THRESHOLD or (
-            split_features.size
-            and (
-                split_features.max() >= 512
-                or split_thresholds.min() < 0
-                or split_thresholds.max() >= _LEAF_THRESHOLD - 1
-            )
-        ):
-            return  # does not fit the 9-bit fields; unpacked path only
-
-        # Level-synchronous BFS over the whole forest. Emitting each
-        # split's children consecutively makes siblings adjacent in the
-        # new numbering, so the right child is left + 1.
-        order = np.empty(n, dtype=np.int64)
-        new_id = np.empty(n, dtype=np.int64)
-        current = self.roots.astype(np.int64)
-        pos = 0
-        while current.size:
-            order[pos : pos + current.size] = current
-            new_id[current] = np.arange(pos, pos + current.size)
-            pos += current.size
-            splits = current[left[current] != current]
-            nxt = np.empty(2 * splits.size, dtype=np.int64)
-            nxt[0::2] = left[splits]
-            nxt[1::2] = right[splits]
-            current = nxt
-
-        old_left = left[order]
-        leaf = old_left == order
-        child = np.where(leaf, np.arange(n, dtype=np.int64), new_id[old_left])
-        packed_feature = np.where(leaf, 0, feature[order])
-        packed_threshold = np.where(leaf, _LEAF_THRESHOLD, threshold[order] + 1)
-        self._packed = (child << 18) | (packed_feature << 9) | packed_threshold
-        self._packed_value = self.value[order]
-        self._packed_roots = new_id[self.roots.astype(np.int64)]
-
     @classmethod
     def from_trees(
         cls,
@@ -264,70 +193,68 @@ class FlattenedForest:
         learning_rate: float,
         bin_edges: Sequence[np.ndarray],
     ) -> "FlattenedForest":
-        """Flatten ``(feature, bin_threshold, left, right, value)`` arrays.
+        """Renumber ``(feature, bin_threshold, left, right, value)`` arrays.
 
         One tuple per fitted tree, exactly as
         :meth:`~repro.ml.gbm.tree.RegressionTree.flat_arrays` returns
-        them, plus the fitted ``BinMapper.bin_edges_`` the trees' bin
-        thresholds refer to. Leaf nodes (``feature < 0``) become
-        self-loops so the traversal needs no termination mask.
+        them (leaves have ``feature == -1``), plus the fitted
+        ``BinMapper.bin_edges_`` the trees' bin thresholds refer to.
+        Links that reach a node twice, or never, and splits on a feature
+        without a row of edges raise :class:`~repro.exceptions.ModelError`.
         """
         if not trees:
             raise ModelError("cannot flatten an empty ensemble")
-        features: list[np.ndarray] = []
-        thresholds: list[np.ndarray] = []
-        lefts: list[np.ndarray] = []
-        rights: list[np.ndarray] = []
-        values: list[np.ndarray] = []
-        roots = np.empty(len(trees), dtype=np.int32)
-        offset = 0
-        max_depth = 0
-        for t, (feature, threshold, left, right, value) in enumerate(trees):
-            n = feature.shape[0]
-            if n == 0:
-                raise ModelError("cannot flatten an unfitted tree")
-            leaf = feature < 0
-            self_index = np.arange(n, dtype=np.int64)
-            left = np.where(leaf, self_index, left)
-            right = np.where(leaf, self_index, right)
+        sizes = np.array([tree[0].shape[0] for tree in trees])
+        if not sizes.all():
+            raise ModelError("cannot flatten an unfitted tree")
+        feature, threshold, left, right, value = (
+            np.concatenate(column) for column in zip(*trees)
+        )
+        # The walk indexes a row's bins by feature, so a feature past
+        # the edge table would read the next row's bins.
+        if feature.max() >= len(bin_edges):
+            raise ModelError("a split tests a feature that has no bin edges")
+        starts = np.cumsum(sizes) - sizes
+        left = left + np.repeat(starts, sizes)
+        right = right + np.repeat(starts, sizes)
+        split = feature >= 0
+        n = feature.shape[0]
 
-            # Children are always appended after their parent, so one
-            # forward pass yields every node's depth.
-            node_depth = np.zeros(n, dtype=np.int64)
-            for i in range(n):
-                if not leaf[i]:
-                    node_depth[left[i]] = node_depth[i] + 1
-                    node_depth[right[i]] = node_depth[i] + 1
-            max_depth = max(max_depth, int(node_depth.max()))
+        # Level-synchronous BFS over the whole forest. Emitting each
+        # split's children consecutively makes them adjacent slots. A
+        # level that would overfill the table has revisited a node.
+        order = np.empty(n, dtype=np.int64)
+        slot = np.full(n, -1, dtype=np.int64)
+        level = starts
+        filled = levels = 0
+        while level.size and filled + level.size <= n:
+            order[filled : filled + level.size] = level
+            slot[level] = np.arange(filled, filled + level.size)
+            filled += level.size
+            levels += 1
+            splits = level[split[level]]
+            level = np.column_stack((left[splits], right[splits])).reshape(-1)
+        if level.size or (slot < 0).any():
+            raise ModelError("tree links must reach each node exactly once")
 
-            roots[t] = offset
-            features.append(np.where(leaf, 0, feature))
-            thresholds.append(threshold)
-            lefts.append(left + offset)
-            rights.append(right + offset)
-            # Pre-scale leaf values by the learning rate: the reference
-            # computes the identical scalar product elementwise.
-            values.append(learning_rate * value)
-            offset += n
-
+        inner = split[order]
+        child = np.arange(n, dtype=np.int64)
+        child[inner] = slot[left[order[inner]]]
+        never_right = np.iinfo(np.int64).max
         return cls(
-            feature=np.concatenate(features).astype(np.int32),
-            threshold=np.concatenate(thresholds).astype(np.int64),
-            left=np.concatenate(lefts).astype(np.int32),
-            right=np.concatenate(rights).astype(np.int32),
-            value=np.concatenate(values).astype(np.float64),
-            roots=roots,
-            depth=max_depth,
+            child=child,
+            feature=np.where(inner, feature[order], 0),
+            threshold=np.where(inner, threshold[order], never_right),
+            # The reference takes the same scalar product elementwise.
+            value=learning_rate * value[order],
+            roots=slot[starts],
+            depth=levels - 1,
             bin_edges=bin_edges,
         )
 
     @property
     def num_trees(self) -> int:
         return int(self.roots.shape[0])
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.feature.shape[0])
 
     @property
     def num_features(self) -> int:
@@ -356,16 +283,13 @@ class FlattenedForest:
             raise ModelError(
                 f"features must be a 2-D matrix of {self.num_features} columns"
             )
-        walk = (
-            self._walk_unpacked if self._packed is None else self._walk_packed
-        )
         n_rows = features.shape[0]
         raw = np.empty(n_rows, dtype=np.float64)
         for start in range(0, n_rows, _TRAVERSAL_BLOCK):
             stop = min(start + _TRAVERSAL_BLOCK, n_rows)
             terms = np.empty((self.num_trees + 1, stop - start))
             terms[0] = base_score
-            terms[1:] = walk(self.bin(features[start:stop]))
+            terms[1:] = self._walk(self.bin(features[start:stop]))
             # add.accumulate is strictly sequential down the tree axis,
             # so the last row is ((base + tree 0) + tree 1) + ... — the
             # reference's per-tree loop, addition for addition. A sum()
@@ -373,28 +297,18 @@ class FlattenedForest:
             raw[start:stop] = np.cumsum(terms, axis=0)[-1]
         return raw
 
-    def _walk_packed(self, bins: np.ndarray) -> np.ndarray:
-        """Leaf values ``(trees, rows)`` via the packed encoding."""
-        packed = self._packed
+    def _walk(self, bins: np.ndarray) -> np.ndarray:
+        """Leaf values ``(trees, rows)`` of one binned block."""
         n_rows, n_features = bins.shape
         bins_flat = bins.reshape(-1)
-        row_offsets = (np.arange(n_rows, dtype=np.int64) * n_features)[None, :]
-        nodes = np.repeat(self._packed_roots[:, None], n_rows, axis=1)
+        row_offsets = np.arange(0, n_rows * n_features, n_features)
+        nodes = np.repeat(self.roots[:, None], n_rows, axis=1)
         for _ in range(self.depth):
-            p = packed[nodes]
-            go_right = bins_flat[((p >> 9) & 511) + row_offsets] > (p & 511) - 1
-            nodes = (p >> 18) + go_right
-        return self._packed_value[nodes]
-
-    def _walk_unpacked(self, bins: np.ndarray) -> np.ndarray:
-        """Leaf values ``(trees, rows)`` via the canonical arrays."""
-        n_rows = bins.shape[0]
-        nodes = np.repeat(self.roots[:, None], n_rows, axis=1).astype(np.int64)
-        rows = np.arange(n_rows)[None, :]
-        for _ in range(self.depth):
-            feat = self.feature[nodes]
-            go_left = bins[rows, feat] <= self.threshold[nodes]
-            nodes = np.where(go_left, self.left[nodes], self.right[nodes])
+            go_right = (
+                bins_flat[self.feature[nodes] + row_offsets]
+                > self.threshold[nodes]
+            )
+            nodes = self.child[nodes] + go_right
         return self.value[nodes]
 
 

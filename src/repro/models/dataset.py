@@ -27,8 +27,8 @@ from repro.arepas.augmentation import (
 from repro.arepas.simulator import AREPAS
 from repro.cache import ArtifactCache, features_cache_key, pcc_cache_key
 from repro.exceptions import ModelError
-from repro.features.graph_features import GraphSample, plan_to_graph_sample
-from repro.features.job_features import job_vector
+from repro.features.graph_features import GraphSample
+from repro.features.plan_features import featurize
 from repro.obs import trace
 from repro.parallel import pmap
 from repro.pcc.curve import PowerLawPCC
@@ -238,7 +238,8 @@ def _featurize_plan(
         cached = cache.get(key, kind="features")
         if cached is not None:
             return cached
-    features = (job_vector(record.plan), plan_to_graph_sample(record.plan))
+    plan_features = featurize(record.plan)
+    features = (plan_features.job_vector, plan_features.graph)
     if cache is not None:
         cache.put(key, features, kind="features")
     return features

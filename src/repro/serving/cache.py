@@ -9,7 +9,7 @@ Two cache roles sit in front of the scoring pipeline:
   a recurring job is answered without touching the model — exactly the
   production observation (AutoToken, §6.2) that recurring jobs dominate
   traffic and barely drift.
-* :class:`FeatureCache` — per-plan :class:`~repro.tasq.pipeline.PlanFeatures`,
+* :class:`FeatureCache` — per-plan :class:`~repro.features.PlanFeatures`,
   keyed on the exact job identity. Featurization is the expensive
   CPU-bound step of scoring; retries and duplicate submissions of the
   *same* instance skip it entirely.
@@ -26,8 +26,9 @@ from collections.abc import Hashable
 from typing import Any
 
 from repro.exceptions import ServingError
+from repro.features import PlanFeatures, featurize
 from repro.scope.plan import QueryPlan
-from repro.tasq.pipeline import PlanFeatures, TokenRecommendation, featurize
+from repro.tasq.pipeline import TokenRecommendation
 
 __all__ = ["LRUCache", "RecommendationCache", "FeatureCache"]
 
@@ -164,7 +165,7 @@ class RecommendationCache:
 
 
 class FeatureCache:
-    """Memoized :func:`repro.tasq.pipeline.featurize`, keyed per instance.
+    """Memoized :func:`repro.features.featurize`, keyed per instance.
 
     Keys include the job id, not just the signature: two instances of a
     recurring template share structure but *not* compile-time estimates

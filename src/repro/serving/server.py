@@ -112,8 +112,12 @@ class ServerConfig:
             raise ServingError("queue bound must be at least 1")
         if self.max_batch_size < 1:
             raise ServingError("max batch size must be at least 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ServingError("deadline must be positive when set")
+        deadline = self.deadline_s
+        if deadline is not None and not 0 < deadline < float("inf"):
+            raise ServingError(
+                "deadline must be finite and positive when set, "
+                f"got {deadline}"
+            )
 
 
 class ResponseStatus(enum.Enum):

@@ -10,13 +10,11 @@ from repro.tasq.price_performance import (
     pareto_frontier,
 )
 from repro.tasq.pipeline import (
-    PlanFeatures,
     ScoringPipeline,
     TasqConfig,
     TokenRecommendation,
     TrainedModels,
     TrainingPipeline,
-    featurize,
 )
 from repro.tasq.whatif import (
     REDUCTION_BUCKETS,
@@ -37,8 +35,6 @@ __all__ = [
     "TrainedModels",
     "ScoringPipeline",
     "TokenRecommendation",
-    "PlanFeatures",
-    "featurize",
     "PricePoint",
     "job_cost",
     "cheapest_within_deadline",

@@ -28,10 +28,7 @@ from functools import partial
 import numpy as np
 
 from repro.exceptions import FittingError, PipelineError
-from repro.features.graph_features import GraphSample, graph_sample_from_matrix
-from repro.features.job_features import job_vector_from_matrix
-from repro.features.operator_features import plan_feature_matrix
-from repro.features.schema import OPERATOR_SCHEMA, FeatureSchema
+from repro.features.plan_features import PlanFeatures, featurize
 from repro.ml import compiled as compiled_kernels
 from repro.models.base import PCCPredictor
 from repro.models.dataset import PCCDataset, PCCExample, build_dataset
@@ -53,8 +50,6 @@ __all__ = [
     "TrainingPipeline",
     "fit_serving_model",
     "TokenRecommendation",
-    "PlanFeatures",
-    "featurize",
     "ScoringPipeline",
 ]
 
@@ -227,40 +222,6 @@ class TokenRecommendation:
         )
 
 
-@dataclass(frozen=True)
-class PlanFeatures:
-    """Both model-facing representations of one compile-time plan.
-
-    Produced by :func:`featurize`; pure (depends only on the plan), so
-    serving layers can cache it and hand it back to
-    :meth:`ScoringPipeline.score_batch` to skip re-featurization.
-    """
-
-    job_vector: np.ndarray
-    graph: GraphSample
-
-
-def featurize(
-    plan: QueryPlan, schema: FeatureSchema = OPERATOR_SCHEMA
-) -> PlanFeatures:
-    """Featurize a plan once for every model family.
-
-    Runs the per-operator featurization (the expensive step) a single
-    time and derives both the aggregated job vector (XGBoost/NN input)
-    and the graph sample (GNN input) from the same matrix — previously
-    each representation recomputed the matrix independently.
-    """
-    with trace.span("tasq.featurize", job=plan.job_id):
-        matrix = plan_feature_matrix(plan, schema)
-        features = PlanFeatures(
-            job_vector=job_vector_from_matrix(matrix, plan, schema),
-            graph=graph_sample_from_matrix(matrix, plan),
-        )
-    if trace.enabled:
-        get_registry().counter("tasq_plans_featurized").increment()
-    return features
-
-
 def _scoring_dataset(
     job_ids: list[str],
     tokens: np.ndarray,
@@ -307,10 +268,11 @@ class ScoringPipeline:
     improvement_threshold:
         Marginal-gain cutoff for the optimal allocation (Section 2.1),
         e.g. 0.01 = require >= 1% run-time improvement per extra token.
+        Must be finite and positive.
     max_slowdown:
-        Optional SLO: when set, the recommendation is additionally capped
-        so predicted slowdown versus the requested allocation stays
-        within this budget.
+        Optional SLO: when set (non-negative), the recommendation is
+        additionally capped so predicted slowdown versus the requested
+        allocation stays within this budget.
     use_compiled:
         When False, every model prediction inside this pipeline runs
         with :func:`repro.ml.compiled.override` forcing the reference
@@ -334,8 +296,16 @@ class ScoringPipeline:
         use_compiled: bool = True,
         risk: float | None = None,
     ) -> None:
-        if improvement_threshold <= 0:
-            raise PipelineError("improvement threshold must be positive")
+        if not 0.0 < improvement_threshold < float("inf"):
+            raise PipelineError(
+                "improvement threshold must be finite and positive, "
+                f"got {improvement_threshold}"
+            )
+        # ``tokens_for_slowdown``'s rule, which the vectorized path mirrors.
+        if max_slowdown is not None and not max_slowdown >= 0:
+            raise PipelineError(
+                f"slowdown budget must be non-negative, got {max_slowdown}"
+            )
         if risk is not None and not 0.0 < risk < 1.0:
             raise PipelineError("risk must be inside (0, 1)")
         self.model = model

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
+from repro.features import featurize
 from repro.ml import compiled
 from repro.ml.autograd import Tensor
 from repro.ml.compiled import FlattenedForest, FusedMLP, compile_network
@@ -30,7 +31,6 @@ from repro.models.nn_model import NNPCCModel
 from repro.models.xgboost_models import XGBoostPL, XGBoostRuntimeModel
 from repro.serving import AllocationServer, BreakerState, ResponseStatus
 from repro.tasq import ScoringPipeline
-from repro.tasq.pipeline import featurize
 
 
 def _training_data(seed=0, rows=300, cols=8):
@@ -96,24 +96,14 @@ class TestFlattenedForestExact:
             fitted_booster.predict_reference(batch),
         )
 
-    def test_packed_and_unpacked_traversals_agree(self, fitted_booster):
-        features, _ = _training_data()
-        forest = fitted_booster.compiled_forest()
-        assert forest._packed is not None
-        bins = forest.bin(features[:40])
-        assert np.array_equal(
-            forest._walk_packed(bins), forest._walk_unpacked(bins)
-        )
-
-    def test_oversized_fields_fall_back_to_unpacked(self):
-        # A hand-built single-split tree on feature 900: the 9-bit packed
-        # encoding cannot represent it, so packing must be skipped while
-        # prediction still works through the unpacked walk. Feature 900's
-        # edges sit at 0.5, 1.5, ..., so a value v lands in bin v.
-        feature = np.array([900, 0, 0], dtype=np.int64)
-        threshold = np.array([3, -1, -1], dtype=np.int64)
-        left = np.array([1, 1, 2], dtype=np.int64)
-        right = np.array([2, 1, 2], dtype=np.int64)
+    def test_split_on_feature_900(self):
+        # A hand-built single-split tree in ``flat_arrays`` layout (leaves
+        # have feature -1) on feature 900. Its edges sit at 0.5, 1.5, ...,
+        # so a value v lands in bin v.
+        feature = np.array([900, -1, -1])
+        threshold = np.array([3, -1, -1])
+        left = np.array([1, -1, -1])
+        right = np.array([2, -1, -1])
         value = np.array([0.0, -1.5, 2.5])
         bin_edges = [np.empty(0)] * 900 + [np.arange(255) + 0.5]
         forest = FlattenedForest.from_trees(
@@ -121,11 +111,38 @@ class TestFlattenedForestExact:
             learning_rate=0.5,
             bin_edges=bin_edges,
         )
-        assert forest._packed is None
         features = np.zeros((2, 901))
         features[1, 900] = 10.0
         raw = forest.predict_raw(features, base_score=1.0)
         assert np.array_equal(raw, np.array([1.0 - 0.75, 1.0 + 1.25]))
+
+    @pytest.mark.parametrize(
+        "right",
+        [
+            np.array([2, -1, 0, -1]),  # node 2's right child is the root
+            np.array([2, -1, 2, -1]),  # node 2 is its own right child
+        ],
+    )
+    def test_rejects_links_that_revisit_a_node(self, right):
+        feature = np.array([0, -1, 1, -1])
+        threshold = np.array([0, -1, 0, -1])
+        left = np.array([1, -1, 3, -1])
+        value = np.zeros(4)
+        with pytest.raises(ModelError, match="exactly once"):
+            FlattenedForest.from_trees(
+                [(feature, threshold, left, right, value)],
+                learning_rate=0.1,
+                bin_edges=[np.array([0.5])] * 2,
+            )
+
+    def test_rejects_split_features_without_bin_edges(self):
+        tree = (
+            np.array([2, -1, -1]), np.array([0, -1, -1]),
+            np.array([1, -1, -1]), np.array([2, -1, -1]),
+            np.array([0.0, 1.0, 2.0]),
+        )
+        with pytest.raises(ModelError, match="no bin edges"):
+            FlattenedForest.from_trees([tree], 0.1, [np.array([0.5])] * 2)
 
     def test_rejects_features_of_the_wrong_width(self, fitted_booster):
         forest = fitted_booster.compiled_forest()
@@ -159,10 +176,9 @@ class TestFlattenedForestExact:
         )
 
 
-def _adversarial_batch(mapper, rows, seed):
+def _adversarial_batch(edges, rows, seed):
     """Values on edges, between them, beyond them, NaN and +-inf."""
     rng = np.random.default_rng(seed)
-    edges = mapper.bin_edges_
     batch = rng.uniform(-1.0, 11.0, size=(rows, len(edges)))
     for j, column_edges in enumerate(edges):
         on_edge = (np.arange(rows) + j) % 2 == 0
@@ -173,6 +189,83 @@ def _adversarial_batch(mapper, rows, seed):
     flat[3::7] = np.inf
     flat[5::7] = -np.inf
     return batch
+
+
+def _hand_built_tree(rng, depth, edge_counts):
+    """A random tree in ``flat_arrays`` layout, numbered depth-first.
+
+    Splits test any feature, at any threshold up to 254; every node,
+    split or leaf, carries a value, so a walk that stops early shows.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(level):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(-1)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.normal()))
+        if level < depth and (level == 0 or rng.random() < 0.7):
+            split = int(rng.integers(edge_counts.size))
+            feature[node] = split
+            top = min(edge_counts[split], 254)
+            threshold[node] = int(rng.integers(top + 1))
+            left[node] = grow(level + 1)
+            right[node] = grow(level + 1)
+        return node
+
+    grow(0)
+    return tuple(
+        np.array(column) for column in (feature, threshold, left, right, value)
+    )
+
+
+def _reference_raw(trees, learning_rate, edges, batch, base_score):
+    """Per-tree traversal over ``searchsorted`` bins, added in tree order."""
+    bins = np.array(
+        [np.searchsorted(edge, batch[:, j]) for j, edge in enumerate(edges)]
+    ).T
+    raw = np.full(batch.shape[0], base_score)
+    for feature, threshold, left, right, value in trees:
+        leaves = np.empty(batch.shape[0])
+        for r, row in enumerate(bins):
+            node = 0
+            while feature[node] >= 0:
+                go_left = row[feature[node]] <= threshold[node]
+                node = left[node] if go_left else right[node]
+            leaves[r] = value[node]
+        raw = raw + learning_rate * leaves
+    return raw
+
+
+class TestHandBuiltForests:
+    """Forests no booster fits: 901 features, 255 edges, depth up to 8."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_trees=st.integers(1, 5),
+        depth=st.integers(0, 8),
+        rows=st.integers(1, 40),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_tree_traversal(self, seed, n_trees, depth, rows):
+        rng = np.random.default_rng(seed)
+        edge_counts = np.where(
+            rng.random(901) < 0.5, 255, rng.integers(0, 255, size=901)
+        )
+        edges = [np.unique(rng.uniform(0.0, 10.0, n)) for n in edge_counts]
+        edge_counts = np.array([column.size for column in edges])
+        trees = [
+            _hand_built_tree(rng, depth, edge_counts) for _ in range(n_trees)
+        ]
+        batch = _adversarial_batch(edges, rows, seed)
+        forest = FlattenedForest.from_trees(trees, 0.3, edges)
+        assert forest.depth <= depth
+        assert np.array_equal(
+            forest.predict_raw(batch, base_score=0.5),
+            _reference_raw(trees, 0.3, edges, batch, base_score=0.5),
+        )
 
 
 class TestInKernelBinning:
@@ -187,7 +280,7 @@ class TestInKernelBinning:
 
     @pytest.mark.parametrize("rows", [1, 127, 128, 129])
     def test_bins_match_bin_mapper(self, booster, rows):
-        batch = _adversarial_batch(booster._mapper, rows, seed=rows)
+        batch = _adversarial_batch(booster._mapper.bin_edges_, rows, seed=rows)
         assert booster._mapper.bin_edges_[3].size == 0
         assert np.isnan(batch).any() and np.isinf(batch).any()
         assert np.array_equal(
@@ -197,7 +290,8 @@ class TestInKernelBinning:
 
     @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
     def test_predictions_match_reference_across_blocks(self, booster, rows):
-        batch = _adversarial_batch(booster._mapper, rows, seed=100 + rows)
+        edges = booster._mapper.bin_edges_
+        batch = _adversarial_batch(edges, rows, seed=100 + rows)
         assert np.array_equal(
             booster.predict_raw(batch), booster.predict_raw_reference(batch)
         )
@@ -235,12 +329,7 @@ class TestLeafAccumulation:
         params = BoosterParams(n_estimators=120, max_depth=5, subsample=0.9)
         return GradientBoostingRegressor(params, seed=31).fit(features, targets)
 
-    @pytest.mark.parametrize("walk", ["packed", "unpacked"])
-    def test_matches_sequential_reference(self, booster, walk, monkeypatch):
-        forest = booster.compiled_forest()
-        assert forest._packed is not None
-        if walk == "unpacked":
-            monkeypatch.setattr(forest, "_packed", None)
+    def test_matches_sequential_reference(self, booster):
         features, _ = _training_data(seed=32, rows=300)
         for row in features[:40]:
             assert np.array_equal(

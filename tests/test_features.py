@@ -11,12 +11,11 @@ from repro.features import (
     OPERATOR_SCHEMA,
     GraphSample,
     job_feature_matrix,
+    featurize,
     job_feature_names,
-    job_vector,
     normalized_adjacency,
     operator_vector,
     plan_feature_matrix,
-    plan_to_graph_sample,
 )
 from repro.scope import (
     OperatorNode,
@@ -164,18 +163,18 @@ class TestOperatorVector:
 
 class TestJobVector:
     def test_categoricals_are_counts(self, small_plan):
-        vector = job_vector(small_plan)
+        vector = featurize(small_plan).job_vector
         kinds = vector[OPERATOR_SCHEMA.operator_kind_slice()]
         assert kinds.sum() == 3.0  # three operators, counted not averaged
 
     def test_numeric_are_means(self, small_plan):
         matrix = plan_feature_matrix(small_plan)
-        vector = job_vector(small_plan)
+        vector = featurize(small_plan).job_vector
         numeric = slice(0, 10)
         assert np.allclose(vector[numeric], matrix[:, numeric].mean(axis=0))
 
     def test_structural_extras(self, small_plan):
-        vector = job_vector(small_plan)
+        vector = featurize(small_plan).job_vector
         assert vector[OPERATOR_SCHEMA.operator_dim] == 3.0  # operators
         assert vector[OPERATOR_SCHEMA.operator_dim + 1] == small_plan.num_stages
 
@@ -203,7 +202,7 @@ class TestGraphFeatures:
             normalized_adjacency(np.ones((2, 3)))
 
     def test_graph_sample_consistency(self, small_plan):
-        sample = plan_to_graph_sample(small_plan)
+        sample = featurize(small_plan).graph
         assert sample.num_nodes == 3
         assert sample.node_features.shape == (3, 49)
         assert sample.adjacency.shape == (3, 3)

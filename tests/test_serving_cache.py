@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ServingError
+from repro.features import featurize
 from repro.scope.signatures import plan_signature
 from repro.serving import FeatureCache, LRUCache, RecommendationCache
 from repro.serving.fallback import degraded_recommendation
-from repro.tasq import featurize
 
 
 class TestLRUCache:

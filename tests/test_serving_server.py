@@ -152,6 +152,11 @@ class TestLifecycle:
         server = build_server(StubPipeline(), ServerConfig(workers=1))
         assert type(server) is AllocationServer
 
+    @pytest.mark.parametrize("deadline", [np.nan, np.inf, 0.0, -1.0])
+    def test_set_deadline_must_be_finite_and_positive(self, deadline):
+        with pytest.raises(ServingError, match="deadline"):
+            ServerConfig(deadline_s=deadline)
+
     def test_requested_tokens_must_be_positive(self, plans):
         with AllocationServer(StubPipeline()) as server:
             with pytest.raises(ServingError, match="positive"):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import FittingError, PipelineError
-from repro.features.graph_features import plan_to_graph_sample
-from repro.features.job_features import job_vector
+from repro.features import featurize
 from repro.ml import compiled
 from repro.ml.gbm import GammaDeviance, GradientBoostingRegressor
 from repro.models import TrainConfig, XGBoostPL, XGBoostSS, reference_window
@@ -19,7 +18,6 @@ from repro.tasq import (
     ScoringPipeline,
     TasqConfig,
     TrainingPipeline,
-    featurize,
     minimum_tokens_within_budget,
     token_reduction_report,
 )
@@ -274,6 +272,24 @@ class TestScoringPipeline:
         with pytest.raises(PipelineError):
             ScoringPipeline(trained.get("nn"), improvement_threshold=0)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"improvement_threshold": np.nan}, "improvement threshold"),
+            ({"improvement_threshold": np.inf}, "improvement threshold"),
+            ({"improvement_threshold": -0.01}, "improvement threshold"),
+            ({"max_slowdown": np.nan}, "slowdown budget"),
+            ({"max_slowdown": -0.5}, "slowdown budget"),
+        ],
+        ids=[
+            "nan-threshold", "inf-threshold", "negative-threshold",
+            "nan-slowdown", "negative-slowdown",
+        ],
+    )
+    def test_rejects_bad_settings(self, trained, setting, message):
+        with pytest.raises(PipelineError, match=message):
+            ScoringPipeline(trained.get("nn"), **setting)
+
     def test_misaligned_batch(self, trained, workload_jobs):
         scorer = ScoringPipeline(trained.get("nn"))
         with pytest.raises(PipelineError):
@@ -390,15 +406,25 @@ class TestUnusableCurves:
 
 
 class TestFeaturize:
-    def test_matches_per_representation_featurizers(self, workload_jobs):
-        plan = workload_jobs[0].plan
-        features = featurize(plan)
-        np.testing.assert_allclose(features.job_vector, job_vector(plan))
-        direct = plan_to_graph_sample(plan)
-        np.testing.assert_allclose(
-            features.graph.node_features, direct.node_features
-        )
-        np.testing.assert_allclose(features.graph.adjacency, direct.adjacency)
+    def test_training_examples_carry_the_served_features(
+        self, repository, dataset
+    ):
+        # Training and serving featurize through one function, so a
+        # model is scored on exactly the bits it was fitted on.
+        plans = {record.job_id: record.plan for record in repository.records()}
+        for example in dataset.examples:
+            served = featurize(plans[example.job_id])
+            assert (
+                example.job_features.tobytes() == served.job_vector.tobytes()
+            )
+            assert (
+                example.graph.node_features.tobytes()
+                == served.graph.node_features.tobytes()
+            )
+            assert (
+                example.graph.adjacency.tobytes()
+                == served.graph.adjacency.tobytes()
+            )
 
     def test_precomputed_features_give_identical_recommendations(
         self, trained, workload_jobs

@@ -297,6 +297,29 @@ class TestCleanExits:
         )
 
     @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("score", "--threshold", "nan", "improvement threshold"),
+            ("serve", "--deadline", "nan", "deadline"),
+            ("fleet", "--max-slowdown", "-1", "slowdown budget"),
+        ],
+        ids=["score-nan-threshold", "serve-nan-deadline", "fleet-bad-slo"],
+    )
+    def test_bad_scoring_setting(
+        self, repo_file, tmp_path, capsys, command, flag, value, message
+    ):
+        model_path = tmp_path / "model.pkl"
+        model_path.write_bytes(pickle.dumps(MarkedIncreasing(())))
+        self.fails_cleanly(
+            capsys,
+            [
+                command, "--repo", str(repo_file),
+                "--model", str(model_path), flag, value,
+            ],
+            message,
+        )
+
+    @pytest.mark.parametrize(
         "flag, message",
         [
             ("--duration", "duration"),
