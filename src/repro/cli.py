@@ -288,6 +288,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
+    ScoringPipeline.check_settings(args.threshold, args.max_slowdown)
     repository = load_repository(args.repo)
     records = [
         r

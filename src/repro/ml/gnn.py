@@ -20,14 +20,17 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ModelError
 from repro.features.graph_features import GraphSample
 from repro.ml.autograd import Tensor
 from repro.ml.nn import Dense, Module
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["PackedBatch", "PackedGraphs", "GraphConvolution",
            "AttentionPooling", "GNNEncoder"]
@@ -69,6 +72,8 @@ class PackedGraphs:
     """
 
     def __init__(self, samples: Sequence[GraphSample]) -> None:
+        import scipy.sparse as sp  # heavy; imported on first use
+
         if not samples:
             raise ModelError("cannot batch zero graphs")
         feature_dim = samples[0].node_features.shape[1]
@@ -102,6 +107,8 @@ class PackedGraphs:
 
     def batch(self, indices: np.ndarray) -> PackedBatch:
         """Cut the graphs at ``indices``, in that order, into one batch."""
+        import scipy.sparse as sp
+
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size == 0:
             raise ModelError("cannot batch zero graphs")

@@ -51,7 +51,7 @@ from repro.replay.arrivals import arrival_times
 from repro.replay.report import ReplayReport, build_report
 from repro.replay.tenants import TenantSpec, default_tenants
 from repro.scope.cluster import QueueOutcome
-from repro.scope.execution import ClusterExecutor
+from repro.scope.execution import ClusterExecutor, ExecutionResult
 from repro.scope.generator import (
     JobInstance,
     WorkloadGenerator,
@@ -317,23 +317,28 @@ class ReplayEngine:
             return None
         pcc = response.recommendation.pcc
 
-        def runtime_fn(tokens: int, _event=event, _req=requested) -> float:
-            # Re-seedable closure: the same tokens always replays the
-            # same execution, and the skyline is kept for retraining.
+        def execute(tokens: int) -> ExecutionResult:
+            # Re-seedable: the same tokens always replays the same
+            # execution. Only retraining reads the skyline, so only then
+            # is it integrated and kept.
             result = self.executor.execute(
-                decompose_stages(_event.job.plan),
+                decompose_stages(job.plan),
                 tokens,
-                rng=np.random.default_rng(_event.exec_seed),
+                rng=np.random.default_rng(event.exec_seed),
             )
-            executions[_event.ref] = TelemetryRecord(
-                job_id=_event.ref,
-                plan=_event.job.plan,
-                requested_tokens=_req,
-                skyline=result.skyline,
-                submit_day=_event.job.submit_day,
-                recurring=_event.job.recurring,
-            )
-            return result.makespan
+            if cfg.retrain:
+                executions[event.ref] = TelemetryRecord(
+                    job_id=event.ref,
+                    plan=job.plan,
+                    requested_tokens=requested,
+                    skyline=result.skyline,
+                    submit_day=job.submit_day,
+                    recurring=job.recurring,
+                )
+            return result
+
+        def runtime_fn(tokens: int) -> float:
+            return execute(tokens).makespan
 
         model_backed = response.status in (
             ResponseStatus.OK,
@@ -348,8 +353,9 @@ class ReplayEngine:
         elif cfg.policy == "peak":
             # Clairvoyant: observe the run at the request, then hold
             # exactly its peak for the observed duration.
-            makespan = runtime_fn(requested)
-            peak = executions[event.ref].skyline.peak
+            observed = execute(requested)
+            makespan = observed.makespan
+            peak = observed.skyline.peak
             lo = hi = min(capacity, max(1, int(math.ceil(peak))))
             return FleetJob(
                 job_id=event.ref,

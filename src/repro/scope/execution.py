@@ -33,14 +33,17 @@ event loop over task completions performs, so the result is exact, not an
 approximation.
 
 The skyline is recovered exactly by integrating the tasks-running step
-function over one-second bins.
+function over one-second bins. The result keeps the task intervals and
+integrates them on the first read of ``skyline``, so a caller that only
+needs the makespan (a replayed job's run time) never pays for it.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +57,25 @@ __all__ = ["ExecutionResult", "ClusterExecutor"]
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome of one simulated job execution."""
+    """Outcome of one simulated job execution.
+
+    ``task_starts`` and ``task_ends`` hold every task's interval in start
+    order; ``skyline`` integrates them on first read and keeps the result.
+    """
 
     job_id: str
     tokens: int
-    skyline: Skyline
     makespan: float
     stage_finish_times: dict[int, float]
+    task_starts: list[float] = field(repr=False)
+    task_ends: list[float] = field(repr=False)
+
+    @cached_property
+    def skyline(self) -> Skyline:
+        return _intervals_to_skyline(
+            np.asarray(self.task_starts), np.asarray(self.task_ends),
+            self.makespan,
+        )
 
     @property
     def runtime(self) -> int:
@@ -239,15 +254,13 @@ class ClusterExecutor:
             registry.counter("scope_stages_completed").increment(
                 len(stage_finish)
             )
-        skyline = _intervals_to_skyline(
-            np.asarray(starts), np.asarray(ends), makespan
-        )
         return ExecutionResult(
             job_id=graph.job_id,
             tokens=tokens,
-            skyline=skyline,
             makespan=makespan,
             stage_finish_times=stage_finish,
+            task_starts=starts,
+            task_ends=ends,
         )
 
     # ------------------------------------------------------------------

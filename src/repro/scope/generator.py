@@ -21,7 +21,10 @@ properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -67,6 +70,16 @@ _POST_KINDS = (
     "Top",
 )
 _POST_WEIGHTS = (0.25, 0.1, 0.1, 0.1, 0.1, 0.15, 0.1, 0.1)
+_EXCHANGE_KINDS = ("PartitionExchange", "FullMergeExchange", "BroadcastExchange")
+_EXCHANGE_WEIGHTS = (0.7, 0.2, 0.1)
+_EXCHANGE_METHODS = {
+    "PartitionExchange": PartitioningMethod.HASH,
+    "FullMergeExchange": PartitioningMethod.RANGE,
+    "BroadcastExchange": PartitioningMethod.BROADCAST,
+}
+#: How far from 1 a weight vector may sum: the tolerance
+#: ``Generator.choice`` applies to its ``p`` argument.
+_WEIGHT_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,7 @@ class WorkloadConfig:
             raise PlanError("need at least one template")
         if len(self.default_token_choices) != len(self.default_token_weights):
             raise PlanError("token choices and weights must align")
+        _check_weights(self.default_token_weights, "default_token_weights")
         if not self.num_inputs_choices or min(self.num_inputs_choices) < 1:
             raise PlanError("num_inputs_choices must be positive")
         for low, high, label in (
@@ -148,8 +162,65 @@ class WorkloadConfig:
                     f"{label}_kind_weights must align with the "
                     f"{len(kinds)} {label} kinds"
                 )
-            if abs(sum(weights) - 1.0) > 1e-6:
-                raise PlanError(f"{label}_kind_weights must sum to 1")
+            _check_weights(weights, f"{label}_kind_weights")
+
+
+def _check_weights(weights: Sequence[float], label: str) -> None:
+    """Reject what ``Generator.choice`` would reject as ``p``."""
+    if any(not weight >= 0 for weight in weights):
+        raise PlanError(f"{label} must be non-negative")
+    if not abs(math.fsum(weights) - 1.0) <= _WEIGHT_SUM_TOLERANCE:
+        raise PlanError(
+            f"{label} must sum to 1 within {_WEIGHT_SUM_TOLERANCE:.1e}"
+        )
+
+
+class _WeightedDraw:
+    """``Generator.choice(items, p=weights)`` for one item, bit for bit.
+
+    For ``size=None`` numpy computes ``cdf = p.cumsum(); cdf /= cdf[-1]``
+    on every call, draws one ``random()`` and returns
+    ``items[cdf.searchsorted(u, side="right")]``. This builds the same
+    CDF once, and ``bisect_right`` over its list is the same search, so
+    every draw returns the same item and leaves the stream in the same
+    state, without numpy's per-call argument handling.
+    """
+
+    __slots__ = ("items", "cdf")
+
+    def __init__(self, items: Sequence, weights: Sequence[float]) -> None:
+        cdf = np.asarray(weights, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        self.items = tuple(items)
+        self.cdf = cdf.tolist()
+
+    def __call__(self, rng: np.random.Generator):
+        return self.items[bisect_right(self.cdf, rng.random())]
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """Every weighted draw of one configuration, CDFs built once."""
+
+    source: _WeightedDraw
+    exchange: _WeightedDraw
+    join: _WeightedDraw
+    chain: _WeightedDraw
+    post: _WeightedDraw
+    tokens: _WeightedDraw
+
+    @classmethod
+    def for_config(cls, cfg: WorkloadConfig) -> _Draws:
+        return cls(
+            source=_WeightedDraw(_SOURCE_KINDS, cfg.source_kind_weights),
+            exchange=_WeightedDraw(_EXCHANGE_KINDS, _EXCHANGE_WEIGHTS),
+            join=_WeightedDraw(_JOIN_KINDS, cfg.join_kind_weights),
+            chain=_WeightedDraw(_CHAIN_KINDS, cfg.chain_kind_weights),
+            post=_WeightedDraw(_POST_KINDS, cfg.post_kind_weights),
+            tokens=_WeightedDraw(
+                cfg.default_token_choices, cfg.default_token_weights
+            ),
+        )
 
 
 @dataclass
@@ -292,6 +363,7 @@ class WorkloadGenerator:
     def __init__(self, config: WorkloadConfig | None = None, seed: int = 0) -> None:
         self.config = config or WorkloadConfig()
         self._seed = seed
+        self._draws = _Draws.for_config(self.config)
         self._rng = np.random.default_rng(seed)
         self._templates = [
             self._draw_template(f"T{i:03d}")
@@ -367,6 +439,7 @@ class WorkloadGenerator:
         if rng is None:
             rng = self._rng
         cfg = self.config
+        draws = self._draws
         num_inputs = int(rng.choice(list(cfg.num_inputs_choices)))
         base_leaf_rows = tuple(
             float(
@@ -376,27 +449,14 @@ class WorkloadGenerator:
             )
             for _ in range(num_inputs)
         )
-        join_kinds = tuple(
-            str(rng.choice(_JOIN_KINDS, p=cfg.join_kind_weights))
-            for _ in range(num_inputs - 1)
-        )
+        join_kinds = tuple(draws.join(rng) for _ in range(num_inputs - 1))
         chains = []
         for _ in range(num_inputs):
             length = int(rng.integers(*cfg.chain_length_range))
-            chains.append(
-                tuple(
-                    str(rng.choice(_CHAIN_KINDS, p=cfg.chain_kind_weights))
-                    for _ in range(length)
-                )
-            )
+            chains.append(tuple(draws.chain(rng) for _ in range(length)))
         num_post = int(rng.integers(*cfg.post_ops_range))
-        post_ops = tuple(
-            str(rng.choice(_POST_KINDS, p=cfg.post_kind_weights))
-            for _ in range(num_post)
-        )
-        tokens = int(
-            rng.choice(cfg.default_token_choices, p=cfg.default_token_weights)
-        )
+        post_ops = tuple(draws.post(rng) for _ in range(num_post))
+        tokens = int(draws.tokens(rng))
         return _TemplateSpec(
             template_id=template_id,
             num_inputs=num_inputs,
@@ -426,7 +486,7 @@ class WorkloadGenerator:
         # frozen per template so recurring instances share one plan shape;
         # only input sizes and estimation noise vary run to run.
         struct_rng = np.random.default_rng(template.structure_seed)
-        builder = _PlanBuilder(struct_rng, rng, cfg)
+        builder = _PlanBuilder(struct_rng, rng, cfg, self._draws)
         drift = (
             np.exp(rng.normal(0.0, cfg.recurring_drift_sigma))
             if recurring
@@ -490,10 +550,12 @@ class _PlanBuilder:
         rng: np.random.Generator,
         noise_rng: np.random.Generator,
         config: WorkloadConfig,
+        draws: _Draws,
     ) -> None:
         self.rng = rng
         self.noise_rng = noise_rng
         self.config = config
+        self.draws = draws
         self.nodes: dict[int, OperatorNode] = {}
         self._next_id = 0
 
@@ -504,8 +566,9 @@ class _PlanBuilder:
 
     def _partitions_for(self, rows: float) -> int:
         cfg = self.config
-        return int(
-            np.clip(np.ceil(rows / cfg.rows_per_partition), 1, cfg.max_partitions)
+        return min(
+            max(math.ceil(rows / cfg.rows_per_partition), 1),
+            cfg.max_partitions,
         )
 
     def _estimation_noise(self) -> float:
@@ -545,9 +608,7 @@ class _PlanBuilder:
 
     # -- node constructors -------------------------------------------------
     def add_source(self, rows: float) -> int:
-        kind = str(
-            self.rng.choice(_SOURCE_KINDS, p=self.config.source_kind_weights)
-        )
+        kind = self.draws.source(self.rng)
         row_length = float(np.exp(self.rng.normal(4.6, 0.5)))  # ~100 bytes
         node = OperatorNode(
             op_id=self._new_id(),
@@ -587,17 +648,8 @@ class _PlanBuilder:
 
     def add_exchange(self, child_id: int) -> int:
         child = self.nodes[child_id]
-        kind = str(
-            self.rng.choice(
-                ["PartitionExchange", "FullMergeExchange", "BroadcastExchange"],
-                p=[0.7, 0.2, 0.1],
-            )
-        )
-        method = {
-            "PartitionExchange": PartitioningMethod.HASH,
-            "FullMergeExchange": PartitioningMethod.RANGE,
-            "BroadcastExchange": PartitioningMethod.BROADCAST,
-        }[kind]
+        kind = self.draws.exchange(self.rng)
+        method = _EXCHANGE_METHODS[kind]
         if self.rng.random() < 0.15:
             method = PartitioningMethod.ROUND_ROBIN
         node = OperatorNode(

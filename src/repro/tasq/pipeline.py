@@ -296,6 +296,24 @@ class ScoringPipeline:
         use_compiled: bool = True,
         risk: float | None = None,
     ) -> None:
+        self.check_settings(improvement_threshold, max_slowdown)
+        if risk is not None and not 0.0 < risk < 1.0:
+            raise PipelineError("risk must be inside (0, 1)")
+        self.model = model
+        self.improvement_threshold = improvement_threshold
+        self.max_slowdown = max_slowdown
+        self.use_compiled = use_compiled
+        self.risk = risk
+
+    @staticmethod
+    def check_settings(
+        improvement_threshold: float, max_slowdown: float | None
+    ) -> None:
+        """Raise :class:`PipelineError` for settings no pipeline takes.
+
+        Callers that must fit or load a model first (``repro fleet``) run
+        it before that work.
+        """
         if not 0.0 < improvement_threshold < float("inf"):
             raise PipelineError(
                 "improvement threshold must be finite and positive, "
@@ -306,13 +324,6 @@ class ScoringPipeline:
             raise PipelineError(
                 f"slowdown budget must be non-negative, got {max_slowdown}"
             )
-        if risk is not None and not 0.0 < risk < 1.0:
-            raise PipelineError("risk must be inside (0, 1)")
-        self.model = model
-        self.improvement_threshold = improvement_threshold
-        self.max_slowdown = max_slowdown
-        self.use_compiled = use_compiled
-        self.risk = risk
 
     def score(
         self,

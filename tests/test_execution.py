@@ -343,6 +343,28 @@ class TestMatchesEventLoop:
             ClusterExecutor().execute(StageGraph(job_id="empty"), 4)
 
 
+class TestLazySkyline:
+    """``ExecutionResult`` integrates its skyline on first read only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=stage_graphs(),
+        tokens=st.integers(min_value=1, max_value=50),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_eager_integration(self, graph, tokens, seed):
+        executor = ClusterExecutor(**EXECUTOR_SETTINGS["replay"])
+        result = executor.execute(graph, tokens, rng=np.random.default_rng(seed))
+        assert "skyline" not in vars(result)
+        eager = _intervals_to_skyline(
+            np.asarray(result.task_starts),
+            np.asarray(result.task_ends),
+            result.makespan,
+        )
+        assert result.skyline.usage.tobytes() == eager.usage.tobytes()
+        assert result.skyline is result.skyline
+
+
 #: sha256 over every (job, setting, tokens) execution's ``makespan.hex()``,
 #: skyline bytes and stage finish times sorted by stage id, computed with
 #: the per-task event loop. Catches a change that moves the scheduler and

@@ -25,6 +25,7 @@ from repro.replay import (
     default_tenants,
     run_replay,
 )
+from repro.scope import execution
 
 SMALL = dict(duration_s=150.0, bootstrap_jobs=15, seed=11)
 
@@ -146,6 +147,61 @@ class TestClosedLoop:
         first = run_replay(config)
         assert first.retrain_events > 0
         assert run_replay(config).signature() == first.signature()
+
+    def test_default_replay_records_no_telemetry(self, monkeypatch):
+        """Without retraining nothing reads a replayed job's skyline, so
+        none is kept and none is integrated: the only integrations are
+        the bootstrap history's, one per job."""
+        kept: list[dict] = []
+        admit = ReplayEngine._admit
+
+        def spy(self, event, response, capacity, executions):
+            kept.append(executions)
+            return admit(self, event, response, capacity, executions)
+
+        integrated = []
+        integrate = execution._intervals_to_skyline
+
+        def counting(*args):
+            integrated.append(1)
+            return integrate(*args)
+
+        monkeypatch.setattr(ReplayEngine, "_admit", spy)
+        monkeypatch.setattr(execution, "_intervals_to_skyline", counting)
+        report = run_replay(ReplayConfig(**SMALL, policy="water_filling"))
+        assert report.completed > 0
+        assert kept and all(not executions for executions in kept)
+        assert len(integrated) == SMALL["bootstrap_jobs"]
+
+    @pytest.mark.parametrize(
+        "policy, expected",
+        [
+            ("water_filling", "6c56089183f818cbf0a43397947cbf7f"
+                              "55ccb0700b24b3c072b03dec8f6b8158"),
+            ("peak", "eed699aa2e69dab13b9d44f987b39807"
+                     "5e95b6b44ca8ffa3d6888c8ae2b81b21"),
+        ],
+    )
+    def test_bursty_retraining_replay_matches_pinned_signature(
+        self, policy, expected
+    ):
+        """Retraining reads the replayed skylines: pinned from a build
+        that integrated and kept every execution's skyline."""
+        report = run_replay(
+            ReplayConfig(
+                duration_s=250.0,
+                bootstrap_jobs=12,
+                seed=5,
+                policy=policy,
+                retrain=True,
+                drift_window=10,
+                drift_min_observations=5,
+                drift_patience=2,
+            ),
+            default_tenants(3, ArrivalSpec(kind="bursty")),
+        )
+        assert report.retrain_events > 0
+        assert report.signature() == expected
 
     def test_tenant_slo_attainment_in_unit_range(self, small_report):
         for tenant in small_report.tenants:

@@ -320,6 +320,30 @@ class TestCleanExits:
         )
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-slowdown", "-1", "slowdown budget"),
+            ("--threshold", "nan", "improvement threshold"),
+        ],
+        ids=["negative-slo", "nan-threshold"],
+    )
+    def test_fleet_checks_settings_before_any_fit(
+        self, repo_file, capsys, monkeypatch, flag, value, message
+    ):
+        """Without ``--model`` a bad setting exits before the repository
+        is loaded or the serving model fitted."""
+        import repro.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fleet worked before checking its settings")
+
+        monkeypatch.setattr(cli, "load_repository", forbidden)
+        monkeypatch.setattr(cli, "fit_serving_model", forbidden)
+        self.fails_cleanly(
+            capsys, ["fleet", "--repo", str(repo_file), flag, value], message
+        )
+
+    @pytest.mark.parametrize(
         "flag, message",
         [
             ("--duration", "duration"),
