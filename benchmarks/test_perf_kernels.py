@@ -8,7 +8,8 @@ useful for catching performance regressions:
 * workload generation, ad-hoc and recurring (the e2e serving workloads'
   request mixes),
 * the cluster executor,
-* featurization (job vector and graph sample from one operator matrix),
+* featurization, with the GNN's graph sample and without it (the job
+  vector alone, as scoring builds it for every other model family),
 * one boosting round and one NN training epoch,
 * one GNN encoder forward-plus-backward step on 32 packed graphs,
 * the offline pipeline hot paths: ``build_dataset`` end-to-end, the
@@ -133,10 +134,14 @@ def test_perf_cluster_executor(benchmark, train_repo):
     )
 
 
-def test_perf_featurization(benchmark, train_repo):
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "job_vector"])
+def test_perf_featurization(benchmark, train_repo, graph):
+    """50 training plans, featurized with or without the graph sample."""
     plans = [r.plan for r in train_repo.records()[:50]]
-    features = benchmark(lambda: [featurize(plan) for plan in plans])
-    assert len(features) == 50
+    features = benchmark(
+        lambda: [featurize(plan, graph=graph) for plan in plans]
+    )
+    assert [f.graph is not None for f in features] == [graph] * 50
 
 
 def test_perf_gbm_fit(benchmark, rng):

@@ -39,6 +39,10 @@ class PCCPredictor(ABC):
     name: str = "model"
     #: True when the model guarantees non-increasing predicted PCCs.
     guarantees_monotonic: bool = False
+    #: True when the model reads each example's operator graph
+    #: (``PCCExample.graph``); the others read only the job vector, so
+    #: scoring for them skips building graph samples.
+    reads_graph: bool = False
 
     def __init__(self) -> None:
         self._fitted = False

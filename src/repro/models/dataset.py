@@ -48,7 +48,8 @@ class PCCExample:
     observed_runtime: float
     target_pcc: PowerLawPCC
     job_features: np.ndarray
-    graph: GraphSample
+    #: None for an example featurized for a model that reads no graph.
+    graph: GraphSample | None
     point_observations: tuple[AugmentedObservation, ...]
 
     @property
@@ -89,7 +90,12 @@ class PCCDataset:
         return np.array([e.observed_runtime for e in self.examples])
 
     def graph_samples(self) -> list[GraphSample]:
-        return [e.graph for e in self.examples]
+        samples = [e.graph for e in self.examples]
+        if any(sample is None for sample in samples):
+            raise ModelError(
+                "an example was featurized without its graph sample"
+            )
+        return samples
 
     def point_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Expanded (features+log tokens, runtime) rows for XGBoost.

@@ -40,6 +40,7 @@ class GNNPCCModel(PCCPredictor):
 
     name = "GNN"
     guarantees_monotonic = True
+    reads_graph = True
 
     def __init__(
         self,

@@ -2,17 +2,18 @@
 
 Two cache roles sit in front of the scoring pipeline:
 
-* :class:`RecommendationCache` — full token recommendations, keyed on
-  the plan's *structural signature* plus the requested token count.
-  Recurring instances of a SCOPE pipeline share a signature by
-  construction (`repro.scope.signatures`), so the daily re-submission of
-  a recurring job is answered without touching the model — exactly the
-  production observation (AutoToken, §6.2) that recurring jobs dominate
-  traffic and barely drift.
+* :class:`RecommendationCache` — the model's answers, keyed on the
+  plan's *structural signature*, the requested token count and the model
+  version that answered. Recurring instances of a SCOPE pipeline share a
+  signature by construction (`repro.scope.signatures`), so the daily
+  re-submission of a recurring job is answered without touching the
+  model — exactly the production observation (AutoToken, §6.2) that
+  recurring jobs dominate traffic and barely drift. It also remembers,
+  per instance, each plan the version found no usable curve for.
 * :class:`FeatureCache` — per-plan :class:`~repro.features.PlanFeatures`,
-  keyed on the exact job identity. Featurization is the expensive
-  CPU-bound step of scoring; retries and duplicate submissions of the
-  *same* instance skip it entirely.
+  keyed on the exact job identity and the representation it holds.
+  Featurization is the expensive CPU-bound step of scoring; retries and
+  duplicate submissions of the *same* instance skip it entirely.
 
 Both are thin domain wrappers over one :class:`LRUCache` with hit/miss
 accounting that the server exports through its metrics registry.
@@ -128,29 +129,71 @@ class LRUCache:
 
 
 class RecommendationCache:
-    """Token recommendations keyed on (plan signature, requested tokens)."""
+    """Model answers, per model version.
+
+    ``version`` is the model version that computed an answer (None for a
+    server without a model store), so a lookup never returns another
+    version's answer.
+
+    A recommendation is keyed on (plan signature, requested tokens,
+    version) and answers every instance of the signature. A plan whose
+    predicted PCC increases is remembered per instance (job id) instead,
+    in a second LRU of the same capacity: instances of one signature
+    differ in their estimates, and another may get a usable curve.
+    """
 
     def __init__(self, capacity: int = 1024) -> None:
         self._cache = LRUCache(capacity)
+        self._unusable = LRUCache(capacity)
 
     @staticmethod
-    def key(signature: str, requested_tokens: int) -> tuple[str, int]:
-        return (signature, int(requested_tokens))
+    def key(
+        signature: str, requested_tokens: int, version: int | None
+    ) -> tuple[str, int, int | None]:
+        return (signature, int(requested_tokens), version)
 
     def get(
-        self, signature: str, requested_tokens: int
+        self,
+        signature: str,
+        requested_tokens: int,
+        version: int | None = None,
     ) -> TokenRecommendation | None:
-        return self._cache.get(self.key(signature, requested_tokens))
+        return self._cache.get(self.key(signature, requested_tokens, version))
 
     def put(
         self,
         signature: str,
         requested_tokens: int,
         recommendation: TokenRecommendation,
+        version: int | None = None,
     ) -> None:
-        self._cache.put(self.key(signature, requested_tokens), recommendation)
+        self._cache.put(
+            self.key(signature, requested_tokens, version), recommendation
+        )
+
+    def is_unusable(
+        self,
+        job_id: str,
+        signature: str,
+        requested_tokens: int,
+        version: int | None = None,
+    ) -> bool:
+        """True when ``version`` found no usable curve for this instance."""
+        key = (job_id, *self.key(signature, requested_tokens, version))
+        return self._unusable.get(key) is not None
+
+    def put_unusable(
+        self,
+        job_id: str,
+        signature: str,
+        requested_tokens: int,
+        version: int | None = None,
+    ) -> None:
+        key = (job_id, *self.key(signature, requested_tokens, version))
+        self._unusable.put(key, True)
 
     def stats(self) -> dict[str, float | int | None]:
+        """Hit accounting of the recommendations (not of unusable marks)."""
         return self._cache.stats()
 
     @property
@@ -162,6 +205,7 @@ class RecommendationCache:
 
     def clear(self) -> None:
         self._cache.clear()
+        self._unusable.clear()
 
 
 class FeatureCache:
@@ -170,26 +214,33 @@ class FeatureCache:
     Keys include the job id, not just the signature: two instances of a
     recurring template share structure but *not* compile-time estimates
     (input sizes drift day to day), so features must never be shared
-    across instances.
+    across instances. Keys also include whether the entry holds the graph
+    sample, so a model that reads graphs never gets an entry without one.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         self._cache = LRUCache(capacity)
 
     @staticmethod
-    def key(plan: QueryPlan, signature: str) -> tuple[str, str]:
-        return (plan.job_id, signature)
+    def key(
+        plan: QueryPlan, signature: str, graph: bool
+    ) -> tuple[str, str, bool]:
+        return (plan.job_id, signature, graph)
 
-    def features_for(self, plan: QueryPlan, signature: str) -> PlanFeatures:
+    def features_for(
+        self, plan: QueryPlan, signature: str, graph: bool = True
+    ) -> PlanFeatures:
         """Cached features for ``plan``, computing and storing on miss.
 
         ``signature`` is ``plan_signature(plan)``, which the caller has
         already computed (the server hashes each plan once, at submit).
+        ``graph`` asks for the GNN's graph sample as well as the job
+        vector; without it an entry is the job vector alone.
         """
-        key = self.key(plan, signature)
+        key = self.key(plan, signature, graph)
         features = self._cache.get(key)
         if features is None:
-            features = featurize(plan)
+            features = featurize(plan, graph=graph)
             self._cache.put(key, features)
         return features
 

@@ -26,7 +26,9 @@ in-process concurrent system:
   request never waits for a batch-mate; under load the queue backlog
   fills batches and buys vectorised model throughput.
 * **caching** (`repro.serving.cache`) — recommendation hits bypass the
-  queue entirely; feature hits skip the expensive featurization step.
+  queue entirely, and so does a plan the deployed model version has
+  already found no usable curve for; feature hits skip the expensive
+  featurization step.
 * **failure containment** — a scoring call that raises gets its whole
   batch the fallback answer (``model_error``) and counts one circuit
   breaker failure; while the breaker is open, and past a deadline, the
@@ -40,7 +42,8 @@ in-process concurrent system:
   and retraining signal are exported in the metrics snapshot.
 * **hot swap** — when constructed over a :class:`ModelStore`, workers
   poll :meth:`~repro.tasq.model_store.ModelStore.latest` and switch to
-  newly registered model versions without a restart.
+  newly registered model versions without a restart. Cached answers are
+  keyed on the version that computed them, so none outlives its model.
 """
 
 from __future__ import annotations
@@ -190,6 +193,8 @@ class AllocationServer:
         ``score_batch(plans, tokens, features=None)`` that returns one
         recommendation per row, or ``None`` for a row whose predicted
         PCC has no optimum. Each micro-batch makes exactly one call.
+        Cached features carry graph samples only when the pipeline's
+        ``reads_graph`` is true (a pipeline without one reads none).
     store, model_name:
         Optional :class:`ModelStore` to hot-swap from: workers poll
         ``store.latest(model_name)`` and adopt newer versions live.
@@ -313,7 +318,10 @@ class AllocationServer:
         self.metrics.counter("requests_total").increment()
         future = ServeFuture()
 
-        cached = self.recommendation_cache.get(signature, requested_tokens)
+        version = self._model_version
+        cached = self.recommendation_cache.get(
+            signature, requested_tokens, version
+        )
         if cached is not None:
             recommendation = dataclasses.replace(cached, job_id=plan.job_id)
             self._finish(
@@ -334,6 +342,13 @@ class AllocationServer:
                 else None
             ),
         )
+        if self.recommendation_cache.is_unusable(
+            plan.job_id, signature, requested_tokens, version
+        ):
+            # This model version already found no optimum for this plan.
+            self.metrics.counter("fallback_unusable_curve").increment()
+            self._fallback(pending, "unusable_curve")
+            return future
         if self.breaker.state is BreakerState.OPEN:
             self.metrics.counter("fallback_breaker_open").increment()
             self._fallback(pending, "breaker_open")
@@ -433,6 +448,11 @@ class AllocationServer:
             self._process_batch_inner(batch)
 
     def _process_batch_inner(self, batch: list[_Pending]) -> None:
+        # Read before scoring: a swap assigns the model before the
+        # version, so answers are cached under a version no newer than
+        # the model that computed them, and a lookup under the current
+        # version never sees an older model's answer.
+        version = self._model_version
         self.metrics.counter("batches").increment()
         self.metrics.histogram(
             "batch_size", bounds=range(1, self.config.max_batch_size + 1)
@@ -459,8 +479,10 @@ class AllocationServer:
                 self._fallback(pending, "breaker_open")
             return
 
+        graph = getattr(self._pipeline, "reads_graph", False)
         features = [
-            self.feature_cache.features_for(p.plan, p.signature) for p in live
+            self.feature_cache.features_for(p.plan, p.signature, graph)
+            for p in live
         ]
         scoring_started = self._clock()
         try:
@@ -484,20 +506,29 @@ class AllocationServer:
         for pending, recommendation in zip(live, recommendations):
             if recommendation is None:
                 # No optimum for this plan's curve: an answer about the
-                # plan, not a model failure, so the breaker never sees it.
+                # plan, not a model failure, so the breaker never sees it
+                # and a repeat request is answered at submit.
+                self.recommendation_cache.put_unusable(
+                    pending.plan.job_id, pending.signature,
+                    pending.requested_tokens, version,
+                )
                 self.metrics.counter("fallback_unusable_curve").increment()
                 self._fallback(pending, "unusable_curve")
             else:
-                self._succeed(pending, recommendation)
+                self._succeed(pending, recommendation, version)
 
     # ------------------------------------------------------------------
     # resolution helpers
     # ------------------------------------------------------------------
     def _succeed(
-        self, pending: _Pending, recommendation: TokenRecommendation
+        self,
+        pending: _Pending,
+        recommendation: TokenRecommendation,
+        version: int | None,
     ) -> None:
         self.recommendation_cache.put(
-            pending.signature, pending.requested_tokens, recommendation
+            pending.signature, pending.requested_tokens, recommendation,
+            version,
         )
         self._finish(
             pending.future, pending.plan.job_id, ResponseStatus.OK,
@@ -563,6 +594,9 @@ class AllocationServer:
                 # compiled inference kernels (repro.ml.compiled caches
                 # ride on the model), so no explicit invalidation is
                 # needed here — the new model compiles on first batch.
+                # The version changes after the model (see
+                # _process_batch_inner); the old version's cached
+                # answers are never looked up again and age out.
                 self._pipeline.model = record.model
                 self._model_version = record.version
                 self.metrics.counter("model_swaps").increment()

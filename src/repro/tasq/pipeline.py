@@ -346,6 +346,12 @@ class ScoringPipeline:
             )
         return recommendation
 
+    @property
+    def reads_graph(self) -> bool:
+        """True when the model reads graph samples, so features passed to
+        :meth:`score_batch` should carry them."""
+        return self.model.reads_graph
+
     def score_batch(
         self,
         plans: list[QueryPlan],
@@ -356,29 +362,41 @@ class ScoringPipeline:
 
         ``features`` optionally carries precomputed :class:`PlanFeatures`
         (one per plan, e.g. from a serving feature cache) so plans are
-        not re-featurized on every call. A row whose predicted PCC is
-        increasing gets ``None``.
+        not re-featurized on every call. Plans are featurized with a
+        graph sample only for a model that reads it; a precomputed entry
+        without one is featurized again when the model does (a hot swap
+        can change the model between a feature lookup and this call). A
+        row whose predicted PCC is increasing gets ``None``.
         """
         if len(plans) != len(requested_tokens):
             raise PipelineError("plans and token requests must align")
         if features is not None and len(features) != len(plans):
             raise PipelineError("plans and precomputed features must align")
+        # One read: the model that decides the representation scores it.
+        model = self.model
+        job_ids = [plan.job_id for plan in plans]
         if features is not None:
+            if model.reads_graph:
+                features = [
+                    feats if feats.graph is not None else featurize(plan)
+                    for plan, feats in zip(plans, features)
+                ]
             return self.score_features(
-                [plan.job_id for plan in plans], requested_tokens, features
+                job_ids, requested_tokens, features, model=model
             )
         if any(t < 1 for t in requested_tokens):
             raise PipelineError("requested tokens must be positive")
 
-        job_ids = [plan.job_id for plan in plans]
         tokens_arr = np.asarray(requested_tokens, float)
         with trace.span("tasq.score_batch", batch=len(plans)):
             dataset = _scoring_dataset(
-                job_ids, tokens_arr, [featurize(plan) for plan in plans]
+                job_ids,
+                tokens_arr,
+                [featurize(plan, graph=model.reads_graph) for plan in plans],
             )
-            pccs, intervals = self._predict_pccs(dataset)
+            pccs, intervals = self._predict_pccs(model, dataset)
         return self._finalize(
-            job_ids, requested_tokens, tokens_arr, pccs, intervals
+            model, job_ids, requested_tokens, tokens_arr, pccs, intervals
         )
 
     def score_features(
@@ -386,12 +404,17 @@ class ScoringPipeline:
         job_ids: list[str],
         requested_tokens: list[int],
         features: list[PlanFeatures],
+        *,
+        model: PCCPredictor | None = None,
     ) -> list[TokenRecommendation | None]:
         """Recommendations from identifiers plus precomputed features.
 
         The plan-free half of scoring: :meth:`score_batch` with
         precomputed ``features`` (e.g. from the serving feature cache)
-        delegates here, so both paths are bit-identical.
+        delegates here, so both paths are bit-identical. ``model``
+        defaults to :attr:`model`; ``score_batch`` passes the one it
+        read. A model that reads graphs needs every entry's graph
+        sample (:class:`~repro.exceptions.ModelError` otherwise).
         """
         if not len(job_ids) == len(requested_tokens) == len(features):
             raise PipelineError(
@@ -400,19 +423,20 @@ class ScoringPipeline:
         if any(t < 1 for t in requested_tokens):
             raise PipelineError("requested tokens must be positive")
 
+        model = self.model if model is None else model
         tokens_arr = np.asarray(requested_tokens, float)
         # Features precomputed: wrapping them into the dataset shape
         # is cheap bookkeeping — keep it out of the traced span so
         # `tasq.score_batch` measures actual scoring work.
         dataset = _scoring_dataset(job_ids, tokens_arr, features)
         with trace.span("tasq.score_batch", batch=len(job_ids)):
-            pccs, intervals = self._predict_pccs(dataset)
+            pccs, intervals = self._predict_pccs(model, dataset)
         return self._finalize(
-            job_ids, requested_tokens, tokens_arr, pccs, intervals
+            model, job_ids, requested_tokens, tokens_arr, pccs, intervals
         )
 
     def _predict_pccs(
-        self, dataset: PCCDataset
+        self, model: PCCPredictor, dataset: PCCDataset
     ) -> tuple[list[PowerLawPCC] | None, list[PCCInterval] | None]:
         """Model inference for one scoring dataset (shared by both entries)."""
         batch = len(dataset.examples)
@@ -425,18 +449,19 @@ class ScoringPipeline:
         with trace.span("tasq.predict_pccs", batch=batch), kernels:
             intervals: list[PCCInterval] | None = None
             if self.risk is not None:
-                intervals = self.model.predict_pcc_intervals(dataset)
+                intervals = model.predict_pcc_intervals(dataset)
                 pccs = (
                     None if intervals is None else [iv.mid for iv in intervals]
                 )
             else:
-                pccs = self.model.predict_pccs(dataset)
+                pccs = model.predict_pccs(dataset)
         if trace.enabled:
             get_registry().counter("tasq_jobs_scored").increment(batch)
         return pccs, intervals
 
     def _finalize(
         self,
+        model: PCCPredictor,
         job_ids: list[str],
         requested_tokens: list[int],
         tokens_arr: np.ndarray,
@@ -445,7 +470,7 @@ class ScoringPipeline:
     ) -> list[TokenRecommendation | None]:
         if pccs is None:
             raise PipelineError(
-                f"{self.model.name} is non-parametric; scoring needs a "
+                f"{model.name} is non-parametric; scoring needs a "
                 "parametric PCC model (NN, GNN, or XGBoost PL)"
             )
 

@@ -189,6 +189,29 @@ class TestJobVector:
         assert np.all(np.isfinite(matrix))
 
 
+class TestGraphFreeFeaturization:
+    @pytest.mark.parametrize(
+        "recurring_fraction", [0.0, 1.0], ids=["adhoc", "recurring"]
+    )
+    def test_job_vector_is_bit_identical_without_the_graph(
+        self, recurring_fraction
+    ):
+        config = WorkloadConfig(recurring_fraction=recurring_fraction)
+        jobs = WorkloadGenerator(config, seed=29).generate(260)
+        for job in jobs:
+            full = featurize(job.plan)
+            vector_only = featurize(job.plan, graph=False)
+            assert vector_only.graph is None
+            assert full.graph is not None
+            got, want = vector_only.job_vector, full.job_vector
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_job_vector_owns_its_memory(self, small_plan):
+        # A view would keep the whole operator matrix alive in a cache.
+        assert featurize(small_plan, graph=False).job_vector.base is None
+
+
 class TestGraphFeatures:
     def test_normalized_adjacency_properties(self, small_plan):
         normalized = normalized_adjacency(small_plan.adjacency_matrix())

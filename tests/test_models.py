@@ -1,5 +1,7 @@
 """Unit tests for the TASQ prediction models (Section 4.4, Tables 4-6)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.exceptions import ModelError, NotFittedError
 from repro.models import (
     GNNPCCModel,
     NNPCCModel,
+    PCCDataset,
     TrainConfig,
     XGBoostPL,
     XGBoostRuntimeModel,
@@ -58,6 +61,17 @@ class TestDatasetBuilding:
         assert dataset.observed_tokens().shape[0] == len(dataset)
         assert dataset.observed_runtimes().shape[0] == len(dataset)
         assert len(dataset.graph_samples()) == len(dataset)
+
+    def test_graph_samples_need_every_graph(self, dataset):
+        examples = list(dataset.examples[:3])
+        examples[1] = dataclasses.replace(examples[1], graph=None)
+        with pytest.raises(ModelError, match="without its graph"):
+            PCCDataset(examples).graph_samples()
+
+    def test_only_the_gnn_reads_graphs(self):
+        assert GNNPCCModel.reads_graph
+        for family in (NNPCCModel, XGBoostPL, XGBoostSS, XGBoostRuntimeModel):
+            assert not family.reads_graph
 
 
 class TestReferenceWindow:

@@ -176,17 +176,19 @@ class TestClosedLoop:
     @pytest.mark.parametrize(
         "policy, expected",
         [
-            ("water_filling", "6c56089183f818cbf0a43397947cbf7f"
-                              "55ccb0700b24b3c072b03dec8f6b8158"),
-            ("peak", "eed699aa2e69dab13b9d44f987b39807"
-                     "5e95b6b44ca8ffa3d6888c8ae2b81b21"),
+            ("water_filling", "93689a8b2840f0cd361f5fba6d932870"
+                              "8d136a4d61019cc9e421f5983826d63f"),
+            ("peak", "5f4288b835cb8ecc5d8aae8fe6a5c548"
+                     "8f671f531f3c5b0b7b02e380891eaf1d"),
         ],
     )
     def test_bursty_retraining_replay_matches_pinned_signature(
         self, policy, expected
     ):
         """Retraining reads the replayed skylines: pinned from a build
-        that integrated and kept every execution's skyline."""
+        that integrated and kept every execution's skyline, and whose
+        cached answers are scoped to the model version that computed
+        them."""
         report = run_replay(
             ReplayConfig(
                 duration_s=250.0,

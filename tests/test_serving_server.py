@@ -6,6 +6,7 @@ caching, shedding, circuit breaking, fallback, feedback, hot swap —
 from model quality and training cost.
 """
 
+import sys
 import threading
 import time
 
@@ -115,6 +116,18 @@ class GatedPipeline(ScoringPipeline):
         self.calls.append(len(plans))
         if len(self.calls) == 1:
             self.gate.wait(timeout=10.0)
+        return super().score_batch(plans, requested_tokens, features)
+
+
+class CountingPipeline(ScoringPipeline):
+    """A real scoring pipeline that logs the job id of every scored row."""
+
+    def __init__(self, model, **kwargs):
+        super().__init__(model, **kwargs)
+        self.rows: list[str] = []
+
+    def score_batch(self, plans, requested_tokens, features=None):
+        self.rows.extend(plan.job_id for plan in plans)
         return super().score_batch(plans, requested_tokens, features)
 
 
@@ -459,6 +472,17 @@ class TestFailureContainment:
         assert counters["fallback_model_error"] == 1
         assert "ValueError: unexpected scoring bug" in capsys.readouterr().err
 
+    def test_degraded_answers_are_not_cached(self, plans):
+        pipeline = StubPipeline(fail_times=1)
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
+            failed = server.request(plans[0], 10)
+            retried = server.request(plans[0], 10)
+        assert (failed.status, failed.reason) == (
+            ResponseStatus.FALLBACK, "model_error"
+        )
+        assert retried.status is ResponseStatus.OK
+        assert pipeline.calls == [1, 1]
+
     def test_deadline_exceeded_gets_fallback(self, plans):
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
@@ -521,6 +545,58 @@ class TestUnusableCurves:
         assert after.status is ResponseStatus.OK
         assert state is BreakerState.CLOSED
         assert trips == 0
+
+
+    def test_scored_once_per_model_version(self, plans):
+        bad = plans[0].job_id
+        store = ModelStore()
+        store.register("pl", StubPredictor(increasing={bad}))
+        pipeline = CountingPipeline(StubPredictor())
+        with AllocationServer(
+            pipeline, ServerConfig(workers=1), store=store, model_name="pl"
+        ) as server:
+            before = [server.request(plans[0], 10) for _ in range(3)]
+            store.register("pl", StubPredictor(increasing={bad}))
+            assert server.refresh_model() == 2
+            after = server.request(plans[0], 10)
+            again = server.request(plans[0], 10)
+        for response in (*before, after, again):
+            assert (response.status, response.reason) == (
+                ResponseStatus.FALLBACK, "unusable_curve"
+            )
+            assert response.tokens == 10  # passthrough fallback
+        assert pipeline.rows == [bad, bad]
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["fallback_unusable_curve"] == 5
+        assert counters["batches"] == 2
+
+    def test_recurring_twin_of_an_unusable_instance_is_scored(
+        self, workload_jobs
+    ):
+        """Instances of one signature differ in their estimates, so the
+        mark is per instance: the twin gets its own curve."""
+        first, twin = recurring_pair(workload_jobs)
+        pipeline = CountingPipeline(StubPredictor(increasing={first.job_id}))
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
+            unusable = server.request(first.plan, 10)
+            scored = server.request(twin.plan, 10)
+            repeat = server.request(first.plan, 10)
+        assert unusable.reason == "unusable_curve"
+        assert scored.status is ResponseStatus.OK
+        # the twin's answer now serves the whole signature
+        assert repeat.status is ResponseStatus.CACHED
+        assert pipeline.rows == [first.job_id, twin.job_id]
+
+
+def recurring_pair(jobs):
+    """Two instances of one recurring template (one plan signature)."""
+    seen = {}
+    for job in jobs:
+        signature = plan_signature(job.plan)
+        if signature in seen:
+            return seen[signature], job
+        seen[signature] = job
+    raise AssertionError("the workload should hold recurring instances")
 
 
 class TestFallbackPolicies:
@@ -644,6 +720,123 @@ class TestHotSwap:
         # steeper PCC → the swapped-in model recommends more tokens
         assert second.recommendation.pcc.a == pytest.approx(-0.99)
         assert server.metrics.snapshot()["counters"]["model_swaps"] == 2
+
+    def test_swap_retires_the_old_versions_answers(self, plans):
+        """The same plan, asked before and after a swap, gets the new
+        model's answer, not the old version's cached one."""
+        store = ModelStore()
+        store.register("pl", StubPredictor(a=-0.5, log_b=6.0))
+        pipeline = ScoringPipeline(StubPredictor())
+        with AllocationServer(
+            pipeline, ServerConfig(workers=1), store=store, model_name="pl"
+        ) as server:
+            first = server.request(plans[0], 100)
+            cached = server.request(plans[0], 100)
+            store.register("pl", StubPredictor(a=-0.99, log_b=6.0))
+            assert server.refresh_model() == 2
+            after = server.request(plans[0], 100)
+            cached_after = server.request(plans[0], 100)
+        assert (first.status, first.tokens) == (ResponseStatus.OK, 50)
+        assert (cached.status, cached.tokens) == (ResponseStatus.CACHED, 50)
+        assert (after.status, after.tokens) == (ResponseStatus.OK, 99)
+        assert after.recommendation.pcc.a == pytest.approx(-0.99)
+        assert cached_after.status is ResponseStatus.CACHED
+        assert cached_after.tokens == 99
+
+    def test_answer_scored_before_a_swap_is_not_served_after_it(
+        self, plans
+    ):
+        class HoldFirstAnswers(ScoringPipeline):
+            """Holds the first batch's answers until ``release`` is set."""
+
+            def __init__(self, model):
+                super().__init__(model)
+                self.scored = threading.Event()
+                self.release = threading.Event()
+
+            def score_batch(self, plans, requested_tokens, features=None):
+                answers = super().score_batch(
+                    plans, requested_tokens, features
+                )
+                if not self.scored.is_set():
+                    self.scored.set()
+                    self.release.wait(timeout=10.0)
+                return answers
+
+        store = ModelStore()
+        store.register("pl", StubPredictor(a=-0.5, log_b=6.0))
+        pipeline = HoldFirstAnswers(StubPredictor())
+        with AllocationServer(
+            pipeline, ServerConfig(workers=1), store=store, model_name="pl"
+        ) as server:
+            held = server.submit(plans[0], 100)
+            assert pipeline.scored.wait(timeout=5.0)
+            store.register("pl", StubPredictor(a=-0.99, log_b=6.0))
+            assert server.refresh_model() == 2
+            pipeline.release.set()
+            # scored by version 1, cached after the swap
+            assert held.result(timeout=5.0).tokens == 50
+            after = server.request(plans[0], 100)
+        assert (after.status, after.tokens) == (ResponseStatus.OK, 99)
+
+    def test_no_answer_predates_the_version_deployed_at_submit(self, plans):
+        """Four workers and four clients on two cores while versions are
+        swapped in: every model answer comes from the version deployed
+        when its request was submitted, or from a newer one."""
+        step = 0.05  # version v predicts a = -step * v
+
+        def version_of(response):
+            return round(-response.recommendation.pcc.a / step)
+
+        store = ModelStore()
+        store.register("pl", StubPredictor(a=-step))
+        answers = []
+        lock = threading.Lock()
+        swapped = threading.Event()
+
+        def client(server):
+            i = 0
+            while not swapped.is_set():
+                deployed = server.model_version
+                response = server.request(plans[i % 3], 100, timeout=5.0)
+                with lock:
+                    answers.append((deployed, response))
+                i += 1
+                time.sleep(0.0002)
+
+        config = ServerConfig(workers=4, model_refresh_interval_s=0.001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AllocationServer(
+                ScoringPipeline(StubPredictor()), config,
+                store=store, model_name="pl",
+            ) as server:
+                clients = [
+                    threading.Thread(target=client, args=(server,))
+                    for _ in range(4)
+                ]
+                for thread in clients:
+                    thread.start()
+                for version in range(2, 12):
+                    time.sleep(0.01)
+                    store.register("pl", StubPredictor(a=-step * version))
+                assert wait_until(lambda: server.model_version == 11)
+                time.sleep(0.01)
+                swapped.set()
+                for thread in clients:
+                    thread.join(timeout=10.0)
+        finally:
+            swapped.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        served = [
+            (deployed, response) for deployed, response in answers
+            if response.status in (ResponseStatus.OK, ResponseStatus.CACHED)
+        ]
+        assert any(r.status is ResponseStatus.CACHED for _, r in served)
+        for deployed, response in served:
+            assert version_of(response) >= deployed
 
     def test_store_requires_model_name(self):
         with pytest.raises(ServingError):
