@@ -40,6 +40,7 @@ import pytest
 from repro.arepas import AREPAS
 from repro.cache import ArtifactCache
 from repro.features import featurize
+from repro.ml import compiled as compiled_kernels
 from repro.ml.blas import single_thread
 from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
 from repro.ml.gnn import GNNEncoder, PackedGraphs
@@ -256,18 +257,19 @@ def test_perf_gbm_compiled_vs_reference(scoring_booster):
     model, features = scoring_booster
     for batch_size in _SCORING_BATCHES:
         batch = features[:batch_size]
+
+        def reference() -> np.ndarray:
+            with compiled_kernels.override(False):
+                return model.predict(batch)
+
         compiled_s = _median_seconds(lambda: model.predict(batch), rounds=9)
-        reference_s = _median_seconds(
-            lambda: model.predict_reference(batch), rounds=9
-        )
+        reference_s = _median_seconds(reference, rounds=9)
         _PIPELINE[f"gbm_forest_compiled_b{batch_size}_s"] = compiled_s
         _PIPELINE[f"gbm_forest_reference_b{batch_size}_s"] = reference_s
         _PIPELINE[f"gbm_forest_speedup_b{batch_size}"] = (
             reference_s / compiled_s
         )
-        assert np.array_equal(
-            model.predict(batch), model.predict_reference(batch)
-        )
+        assert np.array_equal(model.predict(batch), reference())
         if batch_size >= 64:
             assert compiled_s < reference_s
 
@@ -313,7 +315,6 @@ def test_perf_scoring_path_compiled_vs_reference(train_dataset):
     """
     from itertools import cycle, islice
 
-    from repro.ml import compiled as compiled_kernels
     from repro.models import XGBoostRuntimeModel
     from repro.models.dataset import PCCDataset
     from repro.models.xgboost_models import reference_window

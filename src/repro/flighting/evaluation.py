@@ -19,9 +19,7 @@ from repro.exceptions import FlightingError
 from repro.flighting.dataset import FlightedDataset
 from repro.ml.metrics import median_absolute_percentage_error
 from repro.models.base import PCCPredictor
-from repro.models.evaluation import ModelEvaluation
-from repro.models.xgboost_models import reference_window
-from repro.ml.metrics import fraction_non_increasing
+from repro.models.evaluation import ModelEvaluation, trend_metrics
 
 __all__ = ["evaluate_on_flighted", "WorkloadSavings", "workload_savings"]
 
@@ -41,18 +39,7 @@ def evaluate_on_flighted(
     predicted = np.concatenate(curves)
     runtime_ape = median_absolute_percentage_error(true_runtimes, predicted)
 
-    predicted_params = model.predict_parameters(dataset)
-    if predicted_params is not None:
-        pattern = float(np.mean(predicted_params[:, 0] <= 0))
-        targets = dataset.target_matrix()
-        scale = np.abs(targets).mean(axis=0)
-        scale[scale == 0] = 1.0
-        curve_mae = float(np.abs((predicted_params - targets) / scale).mean())
-    else:
-        windows = [reference_window(ref) for ref in dataset.observed_tokens()]
-        window_curves = model.predict_curves(dataset, windows)
-        pattern = fraction_non_increasing(window_curves)
-        curve_mae = None
+    pattern, curve_mae = trend_metrics(model, dataset)
 
     return ModelEvaluation(
         model=model.name,

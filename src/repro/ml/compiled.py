@@ -141,7 +141,8 @@ class FlattenedForest:
         nodes = child[nodes] + (bins[feature[nodes] + row_offsets] > threshold[nodes])
 
     ``predict_raw`` takes unbinned features and is bit-identical to
-    ``GradientBoostingRegressor.predict_raw_reference``.
+    ``GradientBoostingRegressor.predict_raw`` under ``override(False)``,
+    the per-tree traversal over ``BinMapper`` bins.
     """
 
     def __init__(

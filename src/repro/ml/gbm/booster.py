@@ -196,23 +196,6 @@ class GradientBoostingRegressor:
             return self.compiled_forest().predict_raw(features, self._base_score)
         return self._predict_raw_binned_reference(self._mapper.transform(features))
 
-    def predict_reference(self, features: np.ndarray) -> np.ndarray:
-        """Response-scale prediction via the per-tree python traversal.
-
-        The pre-kernel semantics, kept as the unit under the
-        differential test harness.
-        """
-        return self.objective.predict(self.predict_raw_reference(features))
-
-    def predict_raw_reference(self, features: np.ndarray) -> np.ndarray:
-        """Raw-score prediction via the per-tree python traversal."""
-        if self._mapper is None or not self._trees:
-            raise NotFittedError("booster used before fit")
-        features = np.asarray(features, dtype=float)
-        return self._predict_raw_binned_reference(
-            self._mapper.transform(features)
-        )
-
     def _predict_raw_binned_reference(self, binned: np.ndarray) -> np.ndarray:
         raw = np.full(binned.shape[0], self._base_score)
         for tree in self._trees:

@@ -5,17 +5,18 @@ All models answer the same two questions for an unseen job:
 * **point prediction** — expected run time at a specific token count,
 * **trend prediction** — the run-time curve over a token range.
 
-Trend models (NN, GNN, XGBoost PL) expose the fitted/predicted power-law
-parameters; XGBoost SS is non-parametric and only produces curves.
+Trend models (NN, GNN, XGBoost PL) predict the power-law parameters
+``(a, log b)`` of each job's PCC; :class:`PCCPredictor` turns them into
+run times, curves, PCCs and intervals (``runtime = b·Aᵃ``), so a model
+only says how it fits and how it predicts parameters. XGBoost SS is
+non-parametric (its ``predict_parameters`` is None) and overrides the
+run-time and curve methods instead.
 
-Models additionally share an *uncertainty* surface —
-:meth:`PCCPredictor.predict_interval` (q10/q50/q90 run times at a token
-count) and :meth:`PCCPredictor.predict_pcc_intervals` (whole
-:class:`~repro.pcc.intervals.PCCInterval` curves). The base
-implementations return degenerate intervals collapsed onto the point
-prediction, so every model participates in interval-consuming paths;
-models that actually quantify uncertainty (quantile-head XGBoost,
-ensembled NN) override them and report ``supports_intervals = True``.
+Uncertainty is read through :meth:`PCCPredictor.predict_pcc_intervals`
+(whole :class:`~repro.pcc.intervals.PCCInterval` curves). The base
+implementation collapses each interval onto the point prediction, so
+every parametric model participates in interval-consuming paths;
+quantile-head XGBoost PL and the ensembled NN override it.
 """
 
 from __future__ import annotations
@@ -24,12 +25,38 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.exceptions import NotFittedError
+from repro.exceptions import ModelError, NotFittedError
 from repro.models.dataset import PCCDataset
 from repro.pcc.curve import PowerLawPCC
 from repro.pcc.intervals import PCCInterval
 
-__all__ = ["PCCPredictor"]
+__all__ = ["PCCPredictor", "check_tokens", "power_law", "power_law_runtimes"]
+
+
+def check_tokens(tokens: np.ndarray) -> np.ndarray:
+    """``tokens`` as floats; :class:`ModelError` unless all are in (0, inf)."""
+    tokens = np.asarray(tokens, dtype=float)
+    if not np.all((tokens > 0) & (tokens < np.inf)):
+        raise ModelError("token counts must be positive and finite")
+    return tokens
+
+
+def power_law(
+    a: float | np.ndarray, log_b: float | np.ndarray, tokens: np.ndarray
+) -> np.ndarray:
+    """Run times ``b·Aᵃ`` at float ``tokens`` from ``a`` and ``log b``.
+
+    The one place the models evaluate the law; ``a`` and ``log_b`` are
+    scalars or arrays that broadcast against ``tokens``.
+    """
+    return np.exp(log_b + a * np.log(tokens))
+
+
+def power_law_runtimes(
+    parameters: np.ndarray, tokens: np.ndarray
+) -> np.ndarray:
+    """Run time of row ``i`` of ``(a, log b)`` at ``tokens[i]``."""
+    return power_law(parameters[:, 0], parameters[:, 1], check_tokens(tokens))
 
 
 class PCCPredictor(ABC):
@@ -52,21 +79,26 @@ class PCCPredictor(ABC):
     def fit(self, dataset: PCCDataset) -> "PCCPredictor":
         """Train on a featurized dataset; returns self."""
 
-    @abstractmethod
+    def predict_parameters(self, dataset: PCCDataset) -> np.ndarray | None:
+        """``(M, 2)`` predicted ``(a, log b)``, or None if non-parametric."""
+        return None
+
     def predict_runtime_at(
         self, dataset: PCCDataset, tokens: np.ndarray
     ) -> np.ndarray:
         """Point prediction: run time of example ``i`` at ``tokens[i]``."""
+        return power_law_runtimes(self.predict_parameters(dataset), tokens)
 
-    @abstractmethod
     def predict_curves(
         self, dataset: PCCDataset, grids: list[np.ndarray]
     ) -> list[np.ndarray]:
         """Trend prediction: run times of example ``i`` over ``grids[i]``."""
-
-    def predict_parameters(self, dataset: PCCDataset) -> np.ndarray | None:
-        """``(M, 2)`` predicted ``(a, log b)``, or None if non-parametric."""
-        return None
+        grids = self._check_grids(dataset, grids)
+        parameters = self.predict_parameters(dataset)
+        return [
+            power_law(a, log_b, grid)
+            for (a, log_b), grid in zip(parameters, grids)
+        ]
 
     def predict_pccs(self, dataset: PCCDataset) -> list[PowerLawPCC] | None:
         """Predicted power-law PCC per example (None if non-parametric)."""
@@ -76,25 +108,6 @@ class PCCPredictor(ABC):
         return [
             PowerLawPCC.from_log_parameters(a, log_b) for a, log_b in parameters
         ]
-
-    # ------------------------------------------------------------------
-    @property
-    def supports_intervals(self) -> bool:
-        """True when the model produces real (non-degenerate) intervals."""
-        return False
-
-    def predict_interval(
-        self, dataset: PCCDataset, tokens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lo, mid, hi)`` predicted run times of example ``i`` at
-        ``tokens[i]`` — the q10/q50/q90 of the run-time distribution.
-
-        The default collapses onto the point prediction (zero-width
-        intervals), so point-only models remain drop-in everywhere
-        intervals are consumed.
-        """
-        point = self.predict_runtime_at(dataset, tokens)
-        return point, point, point
 
     def predict_pcc_intervals(
         self, dataset: PCCDataset
@@ -110,6 +123,15 @@ class PCCPredictor(ABC):
     def _check_fitted(self) -> None:
         if not self._fitted:
             raise NotFittedError(f"{self.name} used before fit")
+
+    @staticmethod
+    def _check_grids(
+        dataset: PCCDataset, grids: list[np.ndarray]
+    ) -> list[np.ndarray]:
+        """``grids`` as float arrays, one per example, each token checked."""
+        if len(grids) != len(dataset):
+            raise ModelError("one grid per example is required")
+        return [check_tokens(grid) for grid in grids]
 
     def num_parameters(self) -> int:
         """Trainable scalar parameter count (Table 7); 0 if inapplicable."""

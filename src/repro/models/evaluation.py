@@ -70,30 +70,35 @@ def evaluate_model(
     runtime_ape = median_absolute_percentage_error(
         true_runtimes, predicted_runtime
     )
-
-    # --- metrics 1-2: trend prediction ----------------------------------
-    predicted_params = model.predict_parameters(dataset)
-    if predicted_params is not None:
-        # Parametric model: pattern is the sign test, MAE in scaled space.
-        pattern = float(np.mean(predicted_params[:, 0] <= 0))
-        targets = dataset.target_matrix()
-        scale = np.abs(targets).mean(axis=0)
-        scale[scale == 0] = 1.0
-        curve_mae = float(
-            np.abs((predicted_params - targets) / scale).mean()
-        )
-    else:
-        # Non-parametric (XGBoost SS): point-wise check near the reference.
-        grids = [reference_window(ref) for ref in references]
-        curves = model.predict_curves(dataset, grids)
-        pattern = fraction_non_increasing(curves)
-        curve_mae = None
-
+    pattern, curve_mae = trend_metrics(model, dataset)
     return ModelEvaluation(
         model=model.name,
         pattern_non_increasing=pattern,
         curve_param_mae=curve_mae,
         runtime_median_ape=runtime_ape,
+    )
+
+
+def trend_metrics(
+    model: PCCPredictor, dataset: PCCDataset
+) -> tuple[float, float | None]:
+    """Metrics 1-2: the non-increasing share and the curve-parameter MAE.
+
+    The MAE is None for a non-parametric model (XGBoost SS).
+    """
+    predicted_params = model.predict_parameters(dataset)
+    if predicted_params is None:
+        # Non-parametric: point-wise check near the reference.
+        grids = [reference_window(ref) for ref in dataset.observed_tokens()]
+        curves = model.predict_curves(dataset, grids)
+        return fraction_non_increasing(curves), None
+    # Parametric model: pattern is the sign test, MAE in scaled space.
+    targets = dataset.target_matrix()
+    scale = np.abs(targets).mean(axis=0)
+    scale[scale == 0] = 1.0
+    return (
+        float(np.mean(predicted_params[:, 0] <= 0)),
+        float(np.abs((predicted_params - targets) / scale).mean()),
     )
 
 

@@ -19,7 +19,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.exceptions import ModelError, NotFittedError
-from repro.models.base import PCCPredictor
+from repro.models.base import PCCPredictor, power_law_runtimes
 from repro.models.dataset import PCCDataset
 from repro.scope.signatures import plan_signature
 
@@ -157,9 +157,9 @@ class FineGrainedPCCModel(PCCPredictor):
     def predict_runtime_at_routed(
         self, dataset: PCCDataset, tokens: np.ndarray, plans: list
     ) -> np.ndarray:
-        parameters = self.predict_parameters_routed(dataset, plans)
-        tokens = np.asarray(tokens, dtype=float)
-        return np.exp(parameters[:, 1] + parameters[:, 0] * np.log(tokens))
+        return power_law_runtimes(
+            self.predict_parameters_routed(dataset, plans), tokens
+        )
 
     # The PCCPredictor interface requires plan-less methods; fine-grained
     # prediction is signature-routed, so these raise with guidance.

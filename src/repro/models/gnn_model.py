@@ -7,32 +7,39 @@ the two power-law parameters through the same sign-constrained head as
 the NN — so the predicted PCC is monotonically non-increasing by
 construction.
 
-With the defaults (two 80-wide GCN layers, attention, a 24-wide head)
-the model has ~19K parameters — matching the paper's Table 7 GNN figure
-of 19,210 — and is roughly an order of magnitude slower to train than
-the NN, also as reported.
+With two 80-wide GCN layers (:data:`GCN_SIZES`), attention and a
+24-wide head (:data:`HEAD_SIZES`) the model has ~19K parameters —
+matching the paper's Table 7 GNN figure of 19,210 — and is roughly an
+order of magnitude slower to train than the NN, also as reported.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ModelError
 from repro.features.encoders import StandardScaler, TargetScaler
 from repro.features.graph_features import GraphSample
 from repro.ml.autograd import Tensor
 from repro.ml.blas import single_thread
 from repro.ml.gnn import GNNEncoder, PackedBatch, PackedGraphs
-from repro.ml.losses import CompositeLoss, LF2, LossInputs
+from repro.ml.losses import CompositeLoss, LF2
 from repro.ml.nn import Activation, Dense, PCCParameterHead, Sequential
 from repro.models.base import PCCPredictor
 from repro.models.dataset import PCCDataset
-from repro.models.training import TrainConfig, train_parameter_model
+from repro.models.training import (
+    TrainConfig,
+    loss_inputs,
+    train_parameter_model,
+)
 
 __all__ = ["GNNPCCModel"]
 
 #: Graphs encoded per prediction batch.
 _PREDICT_CHUNK = 512
+#: Widths of the graph convolution layers and of the head's hidden
+#: layers (Table 7's 19,210-parameter network).
+GCN_SIZES = (80, 80)
+HEAD_SIZES = (24,)
 
 
 class GNNPCCModel(PCCPredictor):
@@ -44,18 +51,12 @@ class GNNPCCModel(PCCPredictor):
 
     def __init__(
         self,
-        gcn_sizes: tuple[int, ...] = (80, 80),
-        head_sizes: tuple[int, ...] = (24,),
         loss: CompositeLoss | None = None,
         train_config: TrainConfig | None = None,
         xgb_model: PCCPredictor | None = None,
         seed: int = 0,
     ) -> None:
         super().__init__()
-        if not gcn_sizes:
-            raise ModelError("GNN needs at least one graph convolution layer")
-        self.gcn_sizes = gcn_sizes
-        self.head_sizes = head_sizes
         self.loss = loss or LF2()
         self.train_config = train_config or TrainConfig(
             epochs=40, batch_size=32, learning_rate=2e-3
@@ -71,10 +72,10 @@ class GNNPCCModel(PCCPredictor):
     # ------------------------------------------------------------------
     def _build(self, in_features: int) -> None:
         rng = np.random.default_rng(self._seed)
-        self._encoder = GNNEncoder(in_features, self.gcn_sizes, rng)
+        self._encoder = GNNEncoder(in_features, GCN_SIZES, rng)
         modules = []
         previous = self._encoder.output_dim
-        for size in self.head_sizes:
+        for size in HEAD_SIZES:
             modules.append(Dense(previous, size, rng))
             modules.append(Activation("relu"))
             previous = size
@@ -111,23 +112,8 @@ class GNNPCCModel(PCCPredictor):
 
     def _fit(self, dataset: PCCDataset) -> "GNNPCCModel":
         graphs = self._scaled_graphs(dataset, fit_scaler=True)
-        targets = dataset.target_matrix()
-        self._target_scaler.fit(targets)
-
-        xgb_runtime = None
-        if self.loss.needs_xgb:
-            if self.xgb_model is None:
-                raise ModelError("LF3 requires a fitted XGBoost model")
-            xgb_runtime = self.xgb_model.predict_runtime_at(
-                dataset, dataset.observed_tokens()
-            )
-
-        inputs = LossInputs(
-            target_params=targets,
-            param_scale=self._target_scaler.scale_,
-            log_tokens=np.log(dataset.observed_tokens()),
-            true_runtime=dataset.observed_runtimes(),
-            xgb_runtime=xgb_runtime,
+        inputs = loss_inputs(
+            dataset, self.loss, self._target_scaler, self.xgb_model
         )
 
         in_features = graphs[0].node_features.shape[1]
@@ -163,26 +149,6 @@ class GNNPCCModel(PCCPredictor):
             return np.vstack([
                 self._forward(packed.batch(chunk)).numpy() for chunk in chunks
             ])
-
-    def predict_runtime_at(
-        self, dataset: PCCDataset, tokens: np.ndarray
-    ) -> np.ndarray:
-        parameters = self.predict_parameters(dataset)
-        tokens = np.asarray(tokens, dtype=float)
-        if np.any(tokens <= 0):
-            raise ModelError("token counts must be positive")
-        return np.exp(parameters[:, 1] + parameters[:, 0] * np.log(tokens))
-
-    def predict_curves(
-        self, dataset: PCCDataset, grids: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        parameters = self.predict_parameters(dataset)
-        if len(grids) != parameters.shape[0]:
-            raise ModelError("one grid per example is required")
-        return [
-            np.exp(log_b + a * np.log(np.asarray(grid, dtype=float)))
-            for (a, log_b), grid in zip(parameters, grids)
-        ]
 
     def num_parameters(self) -> int:
         if self._encoder is None or self._head is None:

@@ -5,9 +5,9 @@ aggregated job-level features, predicting the two power-law parameters
 with a sign-constrained head so the predicted PCC is monotonically
 non-increasing by construction (Section 4.4/4.5).
 
-With the default hidden sizes ``(32, 16)`` and the 51-wide job feature
-vector, the network has ~2.2K parameters — matching the paper's Table 7
-NN figure of 2,216.
+With hidden layers of 32 and 16 units (:data:`HIDDEN_SIZES`) and the
+51-wide job feature vector, the network has ~2.2K parameters — matching
+the paper's Table 7 NN figure of 2,216.
 
 **Ensemble intervals** (opt-in, ``ensemble_size > 1``): the model trains
 ``ensemble_size - 1`` additional members identical in architecture,
@@ -28,11 +28,15 @@ from repro.features.encoders import StandardScaler, TargetScaler
 from repro.ml import compiled as compiled_kernels
 from repro.ml.autograd import Tensor
 from repro.ml.compiled import FusedMLP, compile_network
-from repro.ml.losses import CompositeLoss, LF2, LossInputs
+from repro.ml.losses import CompositeLoss, LF2
 from repro.ml.nn import Activation, Dense, PCCParameterHead, Sequential
 from repro.models.base import PCCPredictor
 from repro.models.dataset import PCCDataset
-from repro.models.training import TrainConfig, train_parameter_model
+from repro.models.training import (
+    TrainConfig,
+    loss_inputs,
+    train_parameter_model,
+)
 from repro.pcc.curve import PowerLawPCC
 from repro.pcc.intervals import _Z_HI, PCCInterval
 
@@ -41,6 +45,8 @@ __all__ = ["NNPCCModel"]
 #: Seed stride between ensemble members (prime, to keep the per-member
 #: network-init and minibatch streams disjoint from the primary's).
 _MEMBER_SEED_STRIDE = 7919
+#: Widths of the hidden layers (Table 7's 2,216-parameter network).
+HIDDEN_SIZES = (32, 16)
 
 
 class NNPCCModel(PCCPredictor):
@@ -54,7 +60,6 @@ class NNPCCModel(PCCPredictor):
 
     def __init__(
         self,
-        hidden_sizes: tuple[int, ...] = (32, 16),
         loss: CompositeLoss | None = None,
         train_config: TrainConfig | None = None,
         xgb_model: PCCPredictor | None = None,
@@ -62,11 +67,8 @@ class NNPCCModel(PCCPredictor):
         ensemble_size: int = 1,
     ) -> None:
         super().__init__()
-        if not hidden_sizes:
-            raise ModelError("NN needs at least one hidden layer")
         if ensemble_size < 1:
             raise ModelError("ensemble_size must be at least 1")
-        self.hidden_sizes = hidden_sizes
         self.loss = loss or LF2()
         self.train_config = train_config or TrainConfig()
         self.xgb_model = xgb_model
@@ -87,7 +89,7 @@ class NNPCCModel(PCCPredictor):
         rng = np.random.default_rng(seed)
         modules = []
         previous = in_features
-        for size in self.hidden_sizes:
+        for size in HIDDEN_SIZES:
             modules.append(Dense(previous, size, rng))
             modules.append(Activation("relu"))
             previous = size
@@ -96,23 +98,8 @@ class NNPCCModel(PCCPredictor):
 
     def fit(self, dataset: PCCDataset) -> "NNPCCModel":
         features = self._scaler.fit_transform(dataset.job_feature_matrix())
-        targets = dataset.target_matrix()
-        self._target_scaler.fit(targets)
-
-        xgb_runtime = None
-        if self.loss.needs_xgb:
-            if self.xgb_model is None:
-                raise ModelError("LF3 requires a fitted XGBoost model")
-            xgb_runtime = self.xgb_model.predict_runtime_at(
-                dataset, dataset.observed_tokens()
-            )
-
-        inputs = LossInputs(
-            target_params=targets,
-            param_scale=self._target_scaler.scale_,
-            log_tokens=np.log(dataset.observed_tokens()),
-            true_runtime=dataset.observed_runtimes(),
-            xgb_runtime=xgb_runtime,
+        inputs = loss_inputs(
+            dataset, self.loss, self._target_scaler, self.xgb_model
         )
 
         self._network = self._build_network(features.shape[1], self._seed)
@@ -174,14 +161,6 @@ class NNPCCModel(PCCPredictor):
                 self._fusable = False
         return self._network(Tensor(features)).numpy()
 
-    def predict_parameters_reference(self, dataset: PCCDataset) -> np.ndarray:
-        """``(a, log b)`` via the float64 autograd stack (pre-kernel
-        semantics, kept as the unit under the differential tests)."""
-        self._check_fitted()
-        assert self._network is not None
-        features = self._scaler.transform(dataset.job_feature_matrix())
-        return self._network(Tensor(features)).numpy()
-
     def fused_network(self) -> FusedMLP:
         """The lazily compiled forward pass (compiles on first use)."""
         self._check_fitted()
@@ -190,31 +169,7 @@ class NNPCCModel(PCCPredictor):
             self._compiled = compile_network(self._network)
         return self._compiled
 
-    def predict_runtime_at(
-        self, dataset: PCCDataset, tokens: np.ndarray
-    ) -> np.ndarray:
-        parameters = self.predict_parameters(dataset)
-        tokens = np.asarray(tokens, dtype=float)
-        if np.any(tokens <= 0):
-            raise ModelError("token counts must be positive")
-        return np.exp(parameters[:, 1] + parameters[:, 0] * np.log(tokens))
-
-    def predict_curves(
-        self, dataset: PCCDataset, grids: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        parameters = self.predict_parameters(dataset)
-        if len(grids) != parameters.shape[0]:
-            raise ModelError("one grid per example is required")
-        return [
-            np.exp(log_b + a * np.log(np.asarray(grid, dtype=float)))
-            for (a, log_b), grid in zip(parameters, grids)
-        ]
-
     # ------------------------------------------------------------------
-    @property
-    def supports_intervals(self) -> bool:
-        return bool(self._members)
-
     def _member_parameters(self, dataset: PCCDataset) -> np.ndarray:
         """``(ensemble_size, M, 2)`` per-member ``(a, log b)``.
 
@@ -227,29 +182,6 @@ class NNPCCModel(PCCPredictor):
         stacks = [self.predict_parameters(dataset)]
         stacks += [net(Tensor(features)).numpy() for net in self._members]
         return np.stack(stacks)
-
-    def predict_interval(
-        self, dataset: PCCDataset, tokens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """q10/q50/q90 run times at ``tokens[i]`` from the member spread.
-
-        ``mid`` is the primary member's (unchanged) point prediction;
-        ``lo``/``hi`` offset its log run time by ``ndtri(0.9)`` times
-        the cross-member standard deviation of the log run time — a
-        Gaussian read-out of the ensemble spread at the q10/q90 levels.
-        """
-        tokens = np.asarray(tokens, dtype=float)
-        if np.any(tokens <= 0):
-            raise ModelError("token counts must be positive")
-        mid = self.predict_runtime_at(dataset, tokens)
-        if not self._members:
-            return mid, mid, mid
-        stacked = self._member_parameters(dataset)
-        log_tokens = np.log(tokens)
-        log_runtimes = stacked[:, :, 1] + stacked[:, :, 0] * log_tokens
-        spread = _Z_HI * log_runtimes.std(axis=0)
-        log_mid = np.log(mid)
-        return np.exp(log_mid - spread), mid, np.exp(log_mid + spread)
 
     def predict_pcc_intervals(
         self, dataset: PCCDataset

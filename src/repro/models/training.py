@@ -8,11 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ModelError
+from repro.features.encoders import TargetScaler
 from repro.ml.autograd import Tensor
 from repro.ml.losses import CompositeLoss, LossInputs
 from repro.ml.optim import Adam
+from repro.models.base import PCCPredictor
+from repro.models.dataset import PCCDataset
 
-__all__ = ["TrainConfig", "train_parameter_model"]
+__all__ = ["TrainConfig", "loss_inputs", "train_parameter_model"]
 
 
 @dataclass(frozen=True)
@@ -22,12 +25,44 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 64
     learning_rate: float = 3e-3
-    shuffle: bool = True
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ModelError("epochs and batch_size must be positive")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ModelError(
+                "learning_rate must be finite and positive, "
+                f"got {self.learning_rate}"
+            )
+
+
+def loss_inputs(
+    dataset: PCCDataset,
+    loss: CompositeLoss,
+    target_scaler: TargetScaler,
+    xgb_model: PCCPredictor | None,
+) -> LossInputs:
+    """Fit ``target_scaler`` to the targets; the loss's per-example inputs.
+
+    LF3 also reads ``xgb_model``'s run times at the observed tokens, so
+    it needs that model fitted (:class:`ModelError` without one).
+    """
+    targets = dataset.target_matrix()
+    target_scaler.fit(targets)
+    xgb_runtime = None
+    if loss.needs_xgb:
+        if xgb_model is None:
+            raise ModelError("LF3 requires a fitted XGBoost model")
+        xgb_runtime = xgb_model.predict_runtime_at(
+            dataset, dataset.observed_tokens()
+        )
+    return LossInputs(
+        target_params=targets,
+        param_scale=target_scaler.scale_,
+        log_tokens=np.log(dataset.observed_tokens()),
+        true_runtime=dataset.observed_runtimes(),
+        xgb_runtime=xgb_runtime,
+    )
 
 
 def train_parameter_model(
@@ -57,7 +92,7 @@ def train_parameter_model(
     config:
         Optimisation schedule.
     rng:
-        Source of shuffling randomness.
+        Shuffles the example order at the start of every epoch.
 
     Returns
     -------
@@ -68,9 +103,8 @@ def train_parameter_model(
     history: list[float] = []
     indices = np.arange(num_examples)
 
-    for epoch in range(config.epochs):
-        if config.shuffle:
-            rng.shuffle(indices)
+    for _ in range(config.epochs):
+        rng.shuffle(indices)
         epoch_losses: list[float] = []
         for start in range(0, num_examples, config.batch_size):
             batch = indices[start : start + config.batch_size]
@@ -80,8 +114,5 @@ def train_parameter_model(
             loss.backward()
             optimizer.step()
             epoch_losses.append(loss.item())
-        mean_loss = float(np.mean(epoch_losses))
-        history.append(mean_loss)
-        if config.verbose:
-            print(f"epoch {epoch + 1:3d}/{config.epochs}: loss={mean_loss:.5f}")
+        history.append(float(np.mean(epoch_losses)))
     return history

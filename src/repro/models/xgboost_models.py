@@ -18,60 +18,62 @@ variant from the other's fit instead of training the booster twice.
 
 **Quantile heads** (opt-in, ``quantile_heads=True``): alongside the
 gamma point booster, two additional boosters are fitted on the *same*
-rows with the pinball objective at q10 and q90
+rows with the pinball objective at the lo and hi quantiles of
+:data:`~repro.pcc.intervals.INTERVAL_QUANTILES`
 (:class:`~repro.ml.gbm.objectives.PinballLoss`), turning the model into
 an interval predictor. The heads use their own, deliberately *shallower*
-default hyper-parameters: the point booster's deep trees memorise the
-training rows, and a memorised conditional quantile collapses onto the
-point prediction — held-out coverage craters. The point booster's fit is
-byte-identical with heads on or off (every booster draws from its own
-seeded stream), so enabling intervals never perturbs the point
-predictions. XGBoost PL
-additionally refits a power law through each quantile head's point
-curve and repairs crossings via
-:meth:`~repro.pcc.intervals.PCCInterval.from_quantiles`
-(see ``docs/uncertainty.md``).
+hyper-parameters (:data:`QUANTILE_HEAD_PARAMS`): the point booster's
+deep trees memorise the training rows, and a memorised conditional
+quantile collapses onto the point prediction — held-out coverage
+craters. The point booster's fit is byte-identical with heads on or off
+(every booster draws from its own seeded stream), so enabling intervals
+never perturbs the point predictions. XGBoost PL shifts its median power
+law by each head's ratio to the median at the job's reference token
+count (see :meth:`XGBoostPL.predict_pcc_intervals` and
+``docs/uncertainty.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ModelError
 from repro.ml import compiled as compiled_kernels
 from repro.ml.gbm import BoosterParams, GradientBoostingRegressor, PinballLoss
-from repro.models.base import PCCPredictor
+from repro.models.base import PCCPredictor, check_tokens
 from repro.models.dataset import PCCDataset
 from repro.pcc.curve import PowerLawPCC
 from repro.pcc.fitting import fit_power_law, fit_power_laws
-from repro.pcc.intervals import PCCInterval
+from repro.pcc.intervals import INTERVAL_QUANTILES, PCCInterval
 
 __all__ = ["XGBoostRuntimeModel", "XGBoostSS", "XGBoostPL", "reference_window"]
 
-#: Default hyper-parameters for the pinball quantile heads. Quantile
-#: regression overfits much faster than the gamma point objective — a
-#: deep booster reproduces the training rows' empirical quantiles and
-#: under-covers held-out data — so the heads default to shallow,
-#: strongly regularised trees (held-out q10-q90 coverage ~0.75 on the
-#: seeded workload vs ~0.44 with the point booster's parameters).
+#: Hyper-parameters of the pinball quantile heads. Quantile regression
+#: overfits much faster than the gamma point objective — a deep booster
+#: reproduces the training rows' empirical quantiles and under-covers
+#: held-out data — so the heads use shallow, strongly regularised trees
+#: (held-out q10-q90 coverage ~0.75 on the seeded workload vs ~0.44 with
+#: the point booster's parameters).
 QUANTILE_HEAD_PARAMS = BoosterParams(
     n_estimators=40, max_depth=3, learning_rate=0.1, subsample=0.9
 )
+#: Token counts in a reference window, and its half-width as a share of
+#: the reference count: the paper's 9 points within +/-40%.
+WINDOW_POINTS = 9
+WINDOW_SPREAD = 0.4
+#: XGBoost SS's spline smoothing, per point and unit of log-run-time
+#: variance.
+SPLINE_SMOOTHING = 0.05
 
 
-def reference_window(
-    reference_tokens: float | np.ndarray,
-    num_points: int = 9,
-    spread: float = 0.4,
-) -> np.ndarray:
-    """Token grid spanning +/-``spread`` of the reference count.
+def reference_window(reference_tokens: float | np.ndarray) -> np.ndarray:
+    """Token grid spanning +/-40% of the reference count, floored at 1.
 
     Given an array of reference counts, returns one grid row per count.
     """
-    references = np.asarray(reference_tokens, dtype=float)
-    if np.any(references <= 0):
-        raise ModelError("reference token count must be positive")
-    grid = references[..., None] * np.linspace(1 - spread, 1 + spread, num_points)
+    references = check_tokens(reference_tokens)
+    grid = references[..., None] * np.linspace(
+        1 - WINDOW_SPREAD, 1 + WINDOW_SPREAD, WINDOW_POINTS
+    )
     return np.maximum(1.0, grid)
 
 
@@ -86,23 +88,16 @@ class XGBoostRuntimeModel(PCCPredictor):
         booster_params: BoosterParams | None = None,
         seed: int = 0,
         quantile_heads: bool = False,
-        quantiles: tuple[float, float] = (0.1, 0.9),
-        quantile_params: BoosterParams | None = None,
     ) -> None:
         super().__init__()
         self.booster_params = booster_params or BoosterParams(
             n_estimators=150, max_depth=6, learning_rate=0.1, subsample=0.9
         )
-        self.quantile_params = quantile_params or QUANTILE_HEAD_PARAMS
         self._seed = seed
-        if len(quantiles) != 2 or not 0 < quantiles[0] < 0.5 < quantiles[1] < 1:
-            raise ModelError(
-                "quantiles must be a (lo, hi) pair straddling the median"
-            )
         self.quantile_heads = quantile_heads
-        self.quantiles = (float(quantiles[0]), float(quantiles[1]))
         self._booster: GradientBoostingRegressor | None = None
-        self._quantile_boosters: dict[float, GradientBoostingRegressor] = {}
+        #: The (lo, hi) pinball heads; empty without quantile heads.
+        self._quantile_boosters: tuple[GradientBoostingRegressor, ...] = ()
 
     @classmethod
     def from_fitted(
@@ -114,18 +109,16 @@ class XGBoostRuntimeModel(PCCPredictor):
         differs only in how it turns point predictions into curves, so
         one fit serves them all: the result is bit-identical to fitting
         ``cls`` with ``model``'s booster parameters, seed and quantile
-        heads. Its other constructor arguments keep their defaults.
+        heads.
         """
         model._check_fitted()
         twin = cls(
             booster_params=model.booster_params,
             seed=model._seed,
             quantile_heads=model.quantile_heads,
-            quantiles=model.quantiles,
-            quantile_params=model.quantile_params,
         )
         twin._booster = model._booster
-        twin._quantile_boosters = dict(model._quantile_boosters)
+        twin._quantile_boosters = model._quantile_boosters
         twin._fitted = True
         return twin
 
@@ -137,24 +130,22 @@ class XGBoostRuntimeModel(PCCPredictor):
             seed=self._seed,
         )
         self._booster.fit(rows, targets)
-        self._quantile_boosters = {}
+        self._quantile_boosters = ()
         if self.quantile_heads:
             # Independent boosters with independent seeded streams: the
             # point booster above is byte-identical with heads on or off.
-            for offset, quantile in enumerate(self.quantiles):
-                booster = GradientBoostingRegressor(
-                    self.quantile_params,
+            self._quantile_boosters = tuple(
+                GradientBoostingRegressor(
+                    QUANTILE_HEAD_PARAMS,
                     objective=PinballLoss(quantile),
                     seed=self._seed + 101 + offset,
+                ).fit(rows, targets)
+                for offset, quantile in enumerate(
+                    (INTERVAL_QUANTILES[0], INTERVAL_QUANTILES[-1])
                 )
-                booster.fit(rows, targets)
-                self._quantile_boosters[quantile] = booster
+            )
         self._fitted = True
         return self
-
-    @property
-    def supports_intervals(self) -> bool:
-        return bool(self._quantile_boosters)
 
     # ------------------------------------------------------------------
     def _query(
@@ -167,9 +158,7 @@ class XGBoostRuntimeModel(PCCPredictor):
         self._check_fitted()
         booster = booster if booster is not None else self._booster
         assert booster is not None
-        tokens = np.asarray(tokens, dtype=float)
-        if np.any(tokens <= 0):
-            raise ModelError("token counts must be positive")
+        tokens = check_tokens(tokens)
         features = dataset.job_feature_matrix()
         rows = np.column_stack([features, np.log(tokens)])
         return booster.predict(rows)
@@ -190,88 +179,40 @@ class XGBoostRuntimeModel(PCCPredictor):
         accumulation are all elementwise per row, so the batched call is
         bit-identical to the per-example loop it replaces.
         """
-        return self._point_curves(dataset, grids, self._booster)
-
-    def _point_curves(
-        self,
-        dataset: PCCDataset,
-        grids: list[np.ndarray],
-        booster: GradientBoostingRegressor | None,
-    ) -> list[np.ndarray]:
         self._check_fitted()
-        assert booster is not None
+        grids = self._check_grids(dataset, grids)
         features = dataset.job_feature_matrix()
         if compiled_kernels.is_enabled():
-            return self._predict_curves_batched(features, grids, booster)
+            return self._predict_curves_batched(features, grids)
         curves = []
         for feature_row, grid in zip(features, grids):
-            grid = np.asarray(grid, dtype=float)
             rows = np.column_stack(
                 [np.tile(feature_row, (grid.size, 1)), np.log(grid)]
             )
-            curves.append(booster.predict(rows))
+            curves.append(self._booster.predict(rows))
         return curves
 
     def _predict_curves_batched(
-        self,
-        features: np.ndarray,
-        grids: list[np.ndarray],
-        booster: GradientBoostingRegressor,
+        self, features: np.ndarray, grids: list[np.ndarray]
     ) -> list[np.ndarray]:
-        # zip() semantics of the reference loop: truncate to the shorter.
-        count = min(features.shape[0], len(grids))
-        flat_grids = [np.asarray(grids[i], dtype=float) for i in range(count)]
-        sizes = [grid.size for grid in flat_grids]
-        if count == 0:
+        """Point booster predictions for row ``i`` over float ``grids[i]``."""
+        if not grids:
             return []
+        sizes = [grid.size for grid in grids]
         rows = np.column_stack(
             [
-                np.repeat(features[:count], sizes, axis=0),
-                np.log(np.concatenate(flat_grids)),
+                np.repeat(features, sizes, axis=0),
+                np.log(np.concatenate(grids)),
             ]
         )
-        predictions = booster.predict(rows)
+        predictions = self._booster.predict(rows)
         return np.split(predictions, np.cumsum(sizes)[:-1])
-
-    def predict_interval(
-        self, dataset: PCCDataset, tokens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """q10/q50/q90 run times of example ``i`` at ``tokens[i]``.
-
-        ``mid`` is the unchanged gamma point prediction; ``lo``/``hi``
-        come from the pinball heads, crossing-fixed pointwise
-        (``lo = min(lo, mid)``, ``hi = max(hi, mid)``) so the triple is
-        always ordered. Without heads this is the degenerate default.
-        """
-        mid = self._query(dataset, tokens)
-        if not self._quantile_boosters:
-            return mid, mid, mid
-        q_lo, q_hi = self.quantiles
-        lo = self._query(dataset, tokens, self._quantile_boosters[q_lo])
-        hi = self._query(dataset, tokens, self._quantile_boosters[q_hi])
-        return np.minimum(lo, mid), mid, np.maximum(hi, mid)
 
 
 class XGBoostSS(XGBoostRuntimeModel):
     """XGBoost + smoothing spline over point predictions."""
 
     name = "XGBoost SS"
-
-    def __init__(
-        self,
-        booster_params: BoosterParams | None = None,
-        smoothing: float = 0.05,
-        seed: int = 0,
-        quantile_heads: bool = False,
-        quantiles: tuple[float, float] = (0.1, 0.9),
-        quantile_params: BoosterParams | None = None,
-    ) -> None:
-        super().__init__(
-            booster_params, seed, quantile_heads, quantiles, quantile_params
-        )
-        if smoothing < 0:
-            raise ModelError("smoothing must be non-negative")
-        self.smoothing = smoothing
 
     def predict_curves(
         self, dataset: PCCDataset, grids: list[np.ndarray]
@@ -291,32 +232,22 @@ class XGBoostSS(XGBoostRuntimeModel):
                 np.log(grid),
                 log_curve,
                 k=min(3, grid.size - 1),
-                s=self.smoothing * grid.size * np.var(log_curve),
+                s=SPLINE_SMOOTHING * grid.size * np.var(log_curve),
             )
             smoothed.append(np.exp(spline(np.log(grid))))
         return smoothed
 
 
 class XGBoostPL(XGBoostRuntimeModel):
-    """XGBoost + power-law refit of point predictions."""
+    """XGBoost + power-law refit of point predictions.
+
+    Run times at a token count stay the booster's point predictions;
+    curves, PCCs and intervals come from the refit power law.
+    """
 
     name = "XGBoost PL"
 
-    def __init__(
-        self,
-        booster_params: BoosterParams | None = None,
-        window_points: int = 9,
-        window_spread: float = 0.4,
-        seed: int = 0,
-        quantile_heads: bool = False,
-        quantiles: tuple[float, float] = (0.1, 0.9),
-        quantile_params: BoosterParams | None = None,
-    ) -> None:
-        super().__init__(
-            booster_params, seed, quantile_heads, quantiles, quantile_params
-        )
-        self.window_points = window_points
-        self.window_spread = window_spread
+    predict_curves = PCCPredictor.predict_curves
 
     def predict_parameters(self, dataset: PCCDataset) -> np.ndarray:
         """Fit ``(a, log b)`` through predictions near each reference.
@@ -330,36 +261,21 @@ class XGBoostPL(XGBoostRuntimeModel):
         self._check_fitted()
         references = dataset.observed_tokens()
         if compiled_kernels.is_enabled():
-            grid = reference_window(
-                references, self.window_points, self.window_spread
-            )
+            grid = reference_window(references)
             curves = self._predict_curves_batched(
-                dataset.job_feature_matrix(), list(grid), self._booster
+                dataset.job_feature_matrix(), list(grid)
             )
             a, b = fit_power_laws(grid, np.maximum(np.vstack(curves), 1e-9))
             # log(b) of b = exp(log b): the same round trip through
             # PowerLawPCC that the loop below takes, ulp for ulp.
             return np.column_stack([a, np.log(b)])
-        grids = [
-            reference_window(ref, self.window_points, self.window_spread)
-            for ref in references
-        ]
+        grids = [reference_window(ref) for ref in references]
         point_curves = XGBoostRuntimeModel.predict_curves(self, dataset, grids)
         parameters = np.zeros((len(grids), 2))
         for i, (grid, curve) in enumerate(zip(grids, point_curves)):
             pcc = fit_power_law(grid, np.maximum(curve, 1e-9))
             parameters[i] = pcc.log_parameters()
         return parameters
-
-    def predict_curves(
-        self, dataset: PCCDataset, grids: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Evaluate the refit power law over each requested grid."""
-        parameters = self.predict_parameters(dataset)
-        return [
-            np.exp(log_b + a * np.log(np.asarray(grid, dtype=float)))
-            for (a, log_b), grid in zip(parameters, grids)
-        ]
 
     def predict_pcc_intervals(
         self, dataset: PCCDataset
@@ -386,24 +302,14 @@ class XGBoostPL(XGBoostRuntimeModel):
             return super().predict_pcc_intervals(dataset)
         self._check_fitted()
         references = dataset.observed_tokens()
-        q_lo, q_hi = self.quantiles
+        lo_head, hi_head = self._quantile_boosters
         mid_params = self.predict_parameters(dataset)
-        mid_at_ref = self._query(dataset, references)
-        lo_at_ref = self._query(
-            dataset, references, self._quantile_boosters[q_lo]
+        log_lo, log_mid, log_hi = (
+            np.log(np.maximum(self._query(dataset, references, booster), 1e-9))
+            for booster in (lo_head, self._booster, hi_head)
         )
-        hi_at_ref = self._query(
-            dataset, references, self._quantile_boosters[q_hi]
-        )
-        floor = 1e-9
-        up = np.log(np.maximum(hi_at_ref, floor)) - np.log(
-            np.maximum(mid_at_ref, floor)
-        )
-        down = np.log(np.maximum(mid_at_ref, floor)) - np.log(
-            np.maximum(lo_at_ref, floor)
-        )
-        up = np.maximum(up, 0.0)
-        down = np.maximum(down, 0.0)
+        up = np.maximum(log_hi - log_mid, 0.0)
+        down = np.maximum(log_mid - log_lo, 0.0)
         intervals = []
         for (a, log_b), shift_up, shift_down in zip(mid_params, up, down):
             intervals.append(

@@ -15,10 +15,9 @@ Two invariants make the triple safe to consume (see
   on ``A >= 1`` this is equivalent to elementwise ordering of the log
   parameters (``a_lo <= a_mid <= a_hi`` and
   ``log b_lo <= log b_mid <= log b_hi``), which the constructor
-  enforces. :meth:`PCCInterval.from_quantiles` repairs independently
-  fitted quantile curves into this form (the *crossing fix*), anchoring
-  each clamped curve at the job's reference allocation so its fitted
-  run time there is preserved.
+  enforces. The models build ordered triples by construction: XGBoost
+  PL shifts its median curve in ``log b`` only, and the NN ensemble
+  offsets both parameters around its primary member.
 * **closure under risk interpolation** — linear blends of ``(a, log b)``
   are again power laws, so :func:`pcc_at_risk` can interpolate between
   the median and a tail curve with a z-score weight and hand back an
@@ -72,14 +71,12 @@ class PCCInterval:
         if not (a[0] <= a[1] + tol and a[1] <= a[2] + tol):
             raise FittingError(
                 "interval curves must have ordered exponents "
-                f"(a_lo={a[0]:+.4f}, a_mid={a[1]:+.4f}, a_hi={a[2]:+.4f}); "
-                "use PCCInterval.from_quantiles to repair crossings"
+                f"(a_lo={a[0]:+.4f}, a_mid={a[1]:+.4f}, a_hi={a[2]:+.4f})"
             )
         if not (log_b[0] <= log_b[1] + tol and log_b[1] <= log_b[2] + tol):
             raise FittingError(
                 "interval curves must have ordered scales "
-                "(log b_lo <= log b_mid <= log b_hi); "
-                "use PCCInterval.from_quantiles to repair crossings"
+                "(log b_lo <= log b_mid <= log b_hi)"
             )
 
     @classmethod
@@ -91,61 +88,6 @@ class PCCInterval:
     def is_degenerate(self) -> bool:
         """True when the interval carries no uncertainty information."""
         return self.lo == self.mid == self.hi
-
-    @classmethod
-    def from_quantiles(
-        cls,
-        lo: PowerLawPCC,
-        mid: PowerLawPCC,
-        hi: PowerLawPCC,
-        reference_tokens: float = 1.0,
-    ) -> "PCCInterval":
-        """Build an interval from independently fitted quantile curves.
-
-        Independently fitted q10/q90 curves can cross the median (and
-        each other) — the same failure mode that makes ~27% of XGBoost
-        PL point curves increase. The crossing fix projects them onto
-        the ordered parameter cone around ``mid``:
-
-        * ``hi``'s exponent is clamped into ``[a_mid, 0]`` (never
-          steeper than the median; never increasing when the median is
-          valid) and ``lo``'s to at most ``a_mid``;
-        * a clamped curve is re-anchored so its run time at
-          ``reference_tokens`` (where the quantile fit actually looked)
-          is unchanged;
-        * scales are then clamped so ``log b_lo <= log b_mid <=
-          log b_hi``, which can only *widen* the interval.
-        """
-        if reference_tokens <= 0:
-            raise FittingError("reference token count must be positive")
-        log_ref = float(np.log(max(reference_tokens, 1.0)))
-        a_mid, lb_mid = mid.log_parameters()
-
-        def reanchor(a_old: float, lb_old: float, a_new: float) -> float:
-            # Preserve runtime at the reference: lb + a*log_ref constant.
-            return lb_old + (a_old - a_new) * log_ref
-
-        a_hi, lb_hi = hi.log_parameters()
-        a_hi_new = max(a_hi, a_mid)
-        if a_mid <= 0.0:
-            a_hi_new = min(a_hi_new, 0.0)
-        if a_hi_new != a_hi:
-            lb_hi = reanchor(a_hi, lb_hi, a_hi_new)
-            a_hi = a_hi_new
-        lb_hi = max(lb_hi, lb_mid)
-
-        a_lo, lb_lo = lo.log_parameters()
-        a_lo_new = min(a_lo, a_mid)
-        if a_lo_new != a_lo:
-            lb_lo = reanchor(a_lo, lb_lo, a_lo_new)
-            a_lo = a_lo_new
-        lb_lo = min(lb_lo, lb_mid)
-
-        return cls(
-            lo=PowerLawPCC.from_log_parameters(a_lo, lb_lo),
-            mid=mid,
-            hi=PowerLawPCC.from_log_parameters(a_hi, lb_hi),
-        )
 
     def runtime_interval(
         self, tokens: float

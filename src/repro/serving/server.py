@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 import queue as queue_module
 import threading
 import time
@@ -312,6 +313,13 @@ class AllocationServer:
         signature = plan_signature(plan)
         if not self._running:
             raise ServingError("server is not running")
+        try:
+            requested_tokens = operator.index(requested_tokens)
+        except TypeError:
+            raise ServingError(
+                "requested tokens must be an integer, "
+                f"got {requested_tokens!r}"
+            ) from None
         if requested_tokens < 1:
             raise ServingError("requested tokens must be positive")
         now = self._clock()
@@ -332,7 +340,7 @@ class AllocationServer:
 
         pending = _Pending(
             plan=plan,
-            requested_tokens=int(requested_tokens),
+            requested_tokens=requested_tokens,
             signature=signature,
             future=future,
             submitted_at=now,

@@ -22,6 +22,7 @@ risk quantile of the run-time distribution (see ``docs/uncertainty.md``).
 from __future__ import annotations
 
 import contextlib
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -222,6 +223,18 @@ class TokenRecommendation:
         )
 
 
+def _token_requests(requested_tokens: list[int]) -> list[int]:
+    """The requests as ints; :class:`PipelineError` unless each is an
+    integer (NumPy integers pass, floats do not) of at least 1."""
+    try:
+        tokens = [operator.index(t) for t in requested_tokens]
+    except TypeError:
+        raise PipelineError("requested tokens must be integers") from None
+    if any(t < 1 for t in tokens):
+        raise PipelineError("requested tokens must be positive")
+    return tokens
+
+
 def _scoring_dataset(
     job_ids: list[str],
     tokens: np.ndarray,
@@ -384,9 +397,7 @@ class ScoringPipeline:
             return self.score_features(
                 job_ids, requested_tokens, features, model=model
             )
-        if any(t < 1 for t in requested_tokens):
-            raise PipelineError("requested tokens must be positive")
-
+        requested_tokens = _token_requests(requested_tokens)
         tokens_arr = np.asarray(requested_tokens, float)
         with trace.span("tasq.score_batch", batch=len(plans)):
             dataset = _scoring_dataset(
@@ -420,9 +431,7 @@ class ScoringPipeline:
             raise PipelineError(
                 "job ids, token requests, and features must align"
             )
-        if any(t < 1 for t in requested_tokens):
-            raise PipelineError("requested tokens must be positive")
-
+        requested_tokens = _token_requests(requested_tokens)
         model = self.model if model is None else model
         tokens_arr = np.asarray(requested_tokens, float)
         # Features precomputed: wrapping them into the dataset shape

@@ -7,7 +7,7 @@ The contract under test (see ``repro.ml.compiled``):
 * the fused float32 MLP matches the float64 autograd stack to float32
   round-off, and preserves the PCC head's sign guarantee exactly;
 * the ``override`` escape hatch really does route back to the
-  reference implementations;
+  reference implementations, which is how every test here reaches them;
 * refitting a model drops its lazily compiled kernel.
 """
 
@@ -38,6 +38,12 @@ def _training_data(seed=0, rows=300, cols=8):
     features = rng.uniform(0, 10, size=(rows, cols))
     targets = np.exp(rng.normal(3.0, 0.8, rows))
     return features, targets
+
+
+def _uncompiled(predict, batch):
+    """``predict(batch)`` with the kernels off: the reference path."""
+    with compiled.override(False):
+        return predict(batch)
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +78,10 @@ class TestFlattenedForestExact:
         ).fit(features, targets)
         batch = features[:64]
         assert np.array_equal(
-            model.predict(batch), model.predict_reference(batch)
+            model.predict(batch), _uncompiled(model.predict, batch)
         )
         assert np.array_equal(
-            model.predict_raw(batch), model.predict_raw_reference(batch)
+            model.predict_raw(batch), _uncompiled(model.predict_raw, batch)
         )
 
     @pytest.mark.parametrize(
@@ -93,7 +99,7 @@ class TestFlattenedForestExact:
         batch = make_batch(features)
         assert np.array_equal(
             fitted_booster.predict(batch),
-            fitted_booster.predict_reference(batch),
+            _uncompiled(fitted_booster.predict, batch),
         )
 
     def test_split_on_feature_900(self):
@@ -172,7 +178,7 @@ class TestFlattenedForestExact:
         batch_rng = np.random.default_rng(batch_seed)
         batch = batch_rng.uniform(-10, 10, size=(batch_rng.integers(0, 33), 4))
         assert np.array_equal(
-            model.predict(batch), model.predict_reference(batch)
+            model.predict(batch), _uncompiled(model.predict, batch)
         )
 
 
@@ -293,7 +299,7 @@ class TestInKernelBinning:
         edges = booster._mapper.bin_edges_
         batch = _adversarial_batch(edges, rows, seed=100 + rows)
         assert np.array_equal(
-            booster.predict_raw(batch), booster.predict_raw_reference(batch)
+            booster.predict_raw(batch), _uncompiled(booster.predict_raw, batch)
         )
 
     def test_non_finite_edges_bin_like_searchsorted(self):
@@ -334,12 +340,12 @@ class TestLeafAccumulation:
         for row in features[:40]:
             assert np.array_equal(
                 booster.predict_raw(row[None]),
-                booster.predict_raw_reference(row[None]),
+                _uncompiled(booster.predict_raw, row[None]),
             )
         for rows in (2, 128, 129, 300):
             assert np.array_equal(
                 booster.predict_raw(features[:rows]),
-                booster.predict_raw_reference(features[:rows]),
+                _uncompiled(booster.predict_raw, features[:rows]),
             )
 
 
@@ -477,8 +483,11 @@ class TestRoutingAndEscapeHatches:
         with compiled.override(False):
             predicted = model.predict(features[:8])
         assert model._compiled is None  # never compiled
+        # The per-tree traversal over BinMapper bins, called directly.
+        binned = model._mapper.transform(features[:8])
         assert np.array_equal(
-            predicted, model.predict_reference(features[:8])
+            predicted,
+            model.objective.predict(model._predict_raw_binned_reference(binned)),
         )
 
     def test_refit_invalidates_compiled_forest(self, fitted_booster):
@@ -584,17 +593,18 @@ class TestModelLayerRouting:
     def test_nn_routing_and_reference(self, dataset):
         from repro.models.training import TrainConfig
 
-        model = NNPCCModel(
-            hidden_sizes=(8,), train_config=TrainConfig(epochs=2), seed=2
-        ).fit(dataset)
+        model = NNPCCModel(train_config=TrainConfig(epochs=2), seed=2).fit(
+            dataset
+        )
         fused = model.predict_parameters(dataset)
-        reference = model.predict_parameters_reference(dataset)
+        reference = _uncompiled(model.predict_parameters, dataset)
         np.testing.assert_allclose(fused, reference, rtol=5e-5, atol=5e-5)
         assert np.all(fused[:, 0] <= 0.0)
-        with compiled.override(False):
-            assert np.array_equal(
-                model.predict_parameters(dataset), reference
-            )
+        # The reference is the float64 autograd forward pass.
+        features = model._scaler.transform(dataset.job_feature_matrix())
+        assert np.array_equal(
+            reference, model._network(Tensor(features)).numpy()
+        )
         first = model._compiled
         assert first is not None
         model.fit(dataset)  # refit drops the fused pass

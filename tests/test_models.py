@@ -1,11 +1,15 @@
 """Unit tests for the TASQ prediction models (Section 4.4, Tables 4-6)."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError, NotFittedError
+from repro.flighting.evaluation import evaluate_on_flighted
+from repro.ml import compiled
+from repro.ml.gbm import BoosterParams
 from repro.models import (
     GNNPCCModel,
     NNPCCModel,
@@ -37,6 +41,18 @@ def fitted_nn(dataset):
 def fitted_gnn(dataset):
     config = TrainConfig(epochs=6, batch_size=32, learning_rate=2e-3)
     return GNNPCCModel(train_config=config, seed=0).fit(dataset)
+
+
+@pytest.fixture(scope="module")
+def families(fitted_xgb, fitted_nn, fitted_gnn):
+    """One fitted model per family; SS and PL share the booster."""
+    return {
+        "xgboost": fitted_xgb,
+        "xgboost_ss": XGBoostSS.from_fitted(fitted_xgb),
+        "xgboost_pl": XGBoostPL.from_fitted(fitted_xgb),
+        "nn": fitted_nn,
+        "gnn": fitted_gnn,
+    }
 
 
 class TestDatasetBuilding:
@@ -86,6 +102,11 @@ class TestReferenceWindow:
     def test_rejects_bad_reference(self):
         with pytest.raises(ModelError):
             reference_window(0.0)
+
+    @pytest.mark.parametrize("reference", [np.nan, np.inf])
+    def test_rejects_non_finite_reference(self, reference):
+        with pytest.raises(ModelError):
+            reference_window(np.array([100.0, reference]))
 
 
 class TestXGBoostModels:
@@ -242,3 +263,121 @@ class TestEvaluation:
         doubled = evaluate_model(fitted_nn, dataset, true_runtimes=true)
         base = evaluate_model(fitted_nn, dataset)
         assert doubled.runtime_median_ape != base.runtime_median_ape
+
+
+@pytest.mark.parametrize(
+    "enabled", [True, False], ids=["compiled", "reference"]
+)
+@pytest.mark.parametrize(
+    "family", ["xgboost", "xgboost_ss", "xgboost_pl", "nn", "gnn"]
+)
+class TestSharedChecks:
+    """Every family checks tokens and grids alike, kernels on and off."""
+
+    def test_rejects_one_grid_too_few(self, families, family, enabled, dataset):
+        grids = [reference_window(t) for t in dataset.observed_tokens()]
+        with compiled.override(enabled):
+            with pytest.raises(ModelError, match="one grid per example"):
+                families[family].predict_curves(dataset, grids[:-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_rejects_bad_tokens(self, families, family, enabled, bad, dataset):
+        tokens = dataset.observed_tokens().copy()
+        tokens[3] = bad
+        grids = [reference_window(t) for t in dataset.observed_tokens()]
+        grids[3] = np.array([10.0, bad, 30.0])
+        model = families[family]
+        with compiled.override(enabled):
+            with pytest.raises(ModelError, match="positive and finite"):
+                model.predict_runtime_at(dataset, tokens)
+            with pytest.raises(ModelError, match="positive and finite"):
+                model.predict_curves(dataset, grids)
+
+
+def _surface_digest(model, dataset, flighted):
+    """sha256 over a fitted model's whole prediction surface.
+
+    Covers run times at two token vectors, curves over each example's
+    reference window, the ``(a, log b)`` parameters, every interval's
+    three curves and both evaluations (Tables 4-6 and Table 8), each with
+    the compiled kernels on and off.
+    """
+    digest = hashlib.sha256()
+    tokens = dataset.observed_tokens()
+    grids = [reference_window(t) for t in tokens]
+    for enabled in (True, False):
+        with compiled.override(enabled):
+            for at in (tokens, np.maximum(1.0, np.floor(tokens / 3))):
+                digest.update(model.predict_runtime_at(dataset, at).tobytes())
+            for curve in model.predict_curves(dataset, grids):
+                digest.update(curve.tobytes())
+            parameters = model.predict_parameters(dataset)
+            digest.update(
+                b"none" if parameters is None else parameters.tobytes()
+            )
+            for interval in model.predict_pcc_intervals(dataset) or ():
+                for pcc in (interval.lo, interval.mid, interval.hi):
+                    digest.update(np.array([pcc.a, pcc.b]).tobytes())
+            for evaluation in (
+                evaluate_model(model, dataset),
+                evaluate_on_flighted(model, flighted),
+            ):
+                digest.update(repr(dataclasses.astuple(evaluation)).encode())
+    return digest.hexdigest()
+
+
+def _fit_family(family, dataset):
+    small = BoosterParams(n_estimators=30, max_depth=4)
+    if family == "xgboost_pl":
+        return XGBoostPL(small, seed=0).fit(dataset)
+    if family == "xgboost_pl_heads":
+        return XGBoostPL(small, seed=0, quantile_heads=True).fit(dataset)
+    if family == "xgboost_ss":
+        return XGBoostSS.from_fitted(XGBoostPL(small, seed=0).fit(dataset))
+    if family == "xgboost":
+        return XGBoostRuntimeModel(small, seed=0).fit(dataset)
+    config = TrainConfig(epochs=3)
+    if family == "nn":
+        return NNPCCModel(train_config=config, seed=0).fit(dataset)
+    if family == "nn_ensemble":
+        return NNPCCModel(train_config=config, seed=0, ensemble_size=3).fit(
+            dataset
+        )
+    gnn_config = TrainConfig(epochs=2, batch_size=32, learning_rate=2e-3)
+    return GNNPCCModel(train_config=gnn_config, seed=0).fit(dataset)
+
+
+#: :func:`_surface_digest` per family, taken before the families shared
+#: one power-law evaluation, one token check and one trend-metric block
+#: (x86-64 with AVX-512, OpenBLAS 0.3.31 SkylakeX kernels). The booster
+#: families use no BLAS; the NN and GNN fits do, so a CPU on which
+#: OpenBLAS picks other kernels may round those two apart.
+SURFACE_DIGESTS = {
+    "xgboost": (
+        "2ff300b0d15b7541fe4dcf4d2f66f0f8fe879ed1266c2e3e5c5e0debcc84d306"
+    ),
+    "xgboost_pl": (
+        "9101413dba208336690e52ad9fe516e142a81abffdf17ae1d3cc6d1f0175c259"
+    ),
+    "xgboost_pl_heads": (
+        "dfc0f3f75892f12f71e8e34e8259597957be694950597bd4824942c640e38bdc"
+    ),
+    "xgboost_ss": (
+        "3ac33a0249d7dfc95f2059d567aa2c7b4d4b7d8c415a9c7b554b29dc0d2b4a6a"
+    ),
+    "nn": "dae5aae54811b5b6ef11b998fe9c0a50f98eab153ca38618c687092cf78b4c1f",
+    "nn_ensemble": (
+        "2840b16a7bb1640386fff40abdd07e70000a1b28c4b848bb23b7ee20e40027f7"
+    ),
+    "gnn": "65d0e67d14c38d4d584ef4c4dafdcd7c332ea76b424a0b1c368a7f0381c4bf16",
+}
+
+
+class TestSurfacePin:
+    """Every family answers bit for bit as it did before the refactor."""
+
+    @pytest.mark.parametrize("family", sorted(SURFACE_DIGESTS))
+    def test_surface_digest(self, family, dataset, flighted):
+        model = _fit_family(family, dataset)
+        digest = _surface_digest(model, dataset, flighted)
+        assert digest == SURFACE_DIGESTS[family]

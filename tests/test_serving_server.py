@@ -175,6 +175,21 @@ class TestLifecycle:
             with pytest.raises(ServingError, match="positive"):
                 server.submit(plans[0], 0)
 
+    @pytest.mark.parametrize("tokens", [np.nan, np.inf, 2.5])
+    def test_requested_tokens_must_be_an_integer(self, plans, tokens):
+        pipeline = StubPipeline()
+        with AllocationServer(pipeline) as server:
+            with pytest.raises(ServingError, match="integer"):
+                server.submit(plans[0], tokens)
+        assert pipeline.calls == []
+
+    def test_numpy_integer_tokens_are_served(self, plans):
+        pipeline = StubPipeline()
+        with AllocationServer(pipeline) as server:
+            response = server.request(plans[0], np.int64(10))
+        assert response.status is ResponseStatus.OK
+        assert response.recommendation.requested_tokens == 10
+
     def test_context_manager(self, plans):
         server = AllocationServer(StubPipeline())
         with server:

@@ -268,6 +268,28 @@ class TestScoringPipeline:
         with pytest.raises(PipelineError):
             scorer.score(workload_jobs[0].plan, 0)
 
+    @pytest.mark.parametrize("tokens", [np.nan, np.inf, 2.5])
+    def test_rejects_non_integer_tokens(self, trained, workload_jobs, tokens):
+        scorer = ScoringPipeline(trained.get("nn"))
+        plan = workload_jobs[0].plan
+        features = [featurize(plan)]
+        with pytest.raises(PipelineError, match="integers"):
+            scorer.score_batch([plan], [tokens])
+        with pytest.raises(PipelineError, match="integers"):
+            scorer.score_batch([plan], [tokens], features)
+        with pytest.raises(PipelineError, match="integers"):
+            scorer.score_features([plan.job_id], [tokens], features)
+
+    def test_numpy_integer_tokens_score_like_ints(
+        self, trained, workload_jobs
+    ):
+        scorer = ScoringPipeline(trained.get("nn"))
+        plans = [job.plan for job in workload_jobs[:4]]
+        tokens = [job.requested_tokens for job in workload_jobs[:4]]
+        assert scorer.score_batch(
+            plans, np.array(tokens, dtype=np.int64)
+        ) == scorer.score_batch(plans, tokens)
+
     def test_rejects_bad_threshold(self, trained):
         with pytest.raises(PipelineError):
             ScoringPipeline(trained.get("nn"), improvement_threshold=0)

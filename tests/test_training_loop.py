@@ -40,6 +40,15 @@ class TestTrainConfig:
         with pytest.raises(ModelError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize(
+        "learning_rate", [float("nan"), float("inf"), 0.0, -1e-3]
+    )
+    def test_rejects_learning_rate_outside_positive_reals(
+        self, learning_rate
+    ):
+        with pytest.raises(ModelError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+
 
 class TestTrainingLoop:
     def test_loss_decreases(self, toy_problem, rng):
@@ -97,22 +106,6 @@ class TestTrainingLoop:
         assert np.allclose(run(7), run(7))
         assert not np.allclose(run(7), run(8))
 
-    def test_verbose_prints(self, toy_problem, rng, capsys):
-        features, inputs = toy_problem
-        network = _make_network(rng)
-        train_parameter_model(
-            lambda batch: network(Tensor(features[batch])),
-            network.parameters(),
-            LF1(),
-            inputs,
-            num_examples=features.shape[0],
-            config=TrainConfig(epochs=2, verbose=True),
-            rng=np.random.default_rng(0),
-        )
-        out = capsys.readouterr().out
-        assert "epoch" in out
-        assert "loss=" in out
-
     def test_batch_smaller_than_dataset(self, toy_problem, rng):
         """Trailing partial batches must be processed, not dropped."""
         features, inputs = toy_problem
@@ -129,7 +122,7 @@ class TestTrainingLoop:
             LF1(),
             inputs,
             num_examples=features.shape[0],
-            config=TrainConfig(epochs=1, batch_size=50, shuffle=False),
+            config=TrainConfig(epochs=1, batch_size=50),
             rng=np.random.default_rng(0),
         )
         assert seen == [50, 50, 20]

@@ -253,7 +253,7 @@ class TestCleanExits:
         )
 
     def test_truncated_model_pickle(self, tmp_path, capsys):
-        payload = pickle.dumps(NNPCCModel(hidden_sizes=(4,)))
+        payload = pickle.dumps(NNPCCModel())
         model_path = tmp_path / "model.pkl"
         model_path.write_bytes(payload[: len(payload) // 2])
         self.fails_cleanly(

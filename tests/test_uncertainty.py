@@ -129,44 +129,6 @@ class TestPCCInterval:
                 hi=PowerLawPCC(a=-0.5, b=120.0),
             )
 
-    def test_from_quantiles_repairs_crossing(self):
-        mid = PowerLawPCC(a=-0.5, b=120.0)
-        interval = PCCInterval.from_quantiles(
-            lo=PowerLawPCC(a=-0.2, b=100.0),
-            mid=mid,
-            hi=PowerLawPCC(a=-0.9, b=150.0),
-            reference_tokens=32.0,
-        )
-        lo_rt = interval.lo.runtime(TOKEN_GRID)
-        mid_rt = interval.mid.runtime(TOKEN_GRID)
-        hi_rt = interval.hi.runtime(TOKEN_GRID)
-        assert np.all(lo_rt <= mid_rt * (1 + 1e-9))
-        assert np.all(mid_rt <= hi_rt * (1 + 1e-9))
-        assert interval.mid == mid  # the median is never touched
-
-    def test_from_quantiles_reanchors_at_reference(self):
-        # Only hi's exponent crosses; the repaired hi must predict the
-        # same run time at the reference allocation as the raw fit did.
-        hi_raw = PowerLawPCC(a=-0.8, b=400.0)
-        interval = PCCInterval.from_quantiles(
-            lo=PowerLawPCC(a=-0.5, b=80.0),
-            mid=PowerLawPCC(a=-0.5, b=100.0),
-            hi=hi_raw,
-            reference_tokens=10.0,
-        )
-        assert interval.hi.a == pytest.approx(-0.5)
-        assert interval.hi.runtime(10.0) == pytest.approx(hi_raw.runtime(10.0))
-
-    def test_from_quantiles_is_identity_when_ordered(self):
-        lo = PowerLawPCC(a=-0.6, b=80.0)
-        mid = PowerLawPCC(a=-0.5, b=100.0)
-        hi = PowerLawPCC(a=-0.4, b=130.0)
-        interval = PCCInterval.from_quantiles(lo, mid, hi, reference_tokens=8)
-        assert interval.mid == mid
-        for fixed, original in ((interval.lo, lo), (interval.hi, hi)):
-            assert fixed.a == pytest.approx(original.a)
-            assert fixed.b == pytest.approx(original.b, rel=1e-12)
-
     def test_degenerate(self):
         mid = PowerLawPCC(a=-0.5, b=100.0)
         interval = PCCInterval.degenerate(mid)
@@ -267,9 +229,11 @@ class TestModelIntervals:
         )
 
     def test_predict_interval_ordered(self, dataset, heads_model):
-        assert heads_model.supports_intervals
-        tokens = np.full(len(dataset), 40.0)
-        lo, mid, hi = heads_model.predict_interval(dataset, tokens)
+        intervals = heads_model.predict_pcc_intervals(dataset)
+        assert not all(iv.is_degenerate for iv in intervals)
+        lo, mid, hi = np.array(
+            [iv.runtime_interval(40.0) for iv in intervals]
+        ).T
         assert np.all(lo <= mid) and np.all(mid <= hi)
         assert np.any(lo < hi)  # genuinely non-degenerate somewhere
 
@@ -287,7 +251,6 @@ class TestModelIntervals:
 
     def test_plain_model_yields_degenerate_intervals(self, dataset):
         plain = XGBoostPL(seed=0).fit(dataset)
-        assert not plain.supports_intervals
         intervals = plain.predict_pcc_intervals(dataset)
         assert intervals is not None
         assert all(iv.is_degenerate for iv in intervals)
@@ -304,12 +267,15 @@ class TestModelIntervals:
             solo.predict_parameters(dataset),
             ensemble.predict_parameters(dataset),
         )
-        assert ensemble.supports_intervals and not solo.supports_intervals
-        lo, mid, hi = ensemble.predict_interval(
-            dataset, np.full(len(dataset), 40.0)
-        )
+        solo_intervals = solo.predict_pcc_intervals(dataset)
+        assert all(iv.is_degenerate for iv in solo_intervals)
+        intervals = ensemble.predict_pcc_intervals(dataset)
+        assert not all(iv.is_degenerate for iv in intervals)
+        lo, mid, hi = np.array(
+            [iv.runtime_interval(40.0) for iv in intervals]
+        ).T
         assert np.all(lo <= mid) and np.all(mid <= hi)
-        for iv in ensemble.predict_pcc_intervals(dataset):
+        for iv in intervals:
             lo_rt = iv.lo.runtime(TOKEN_GRID)
             hi_rt = iv.hi.runtime(TOKEN_GRID)
             assert np.all(lo_rt <= hi_rt * (1 + 1e-9))
