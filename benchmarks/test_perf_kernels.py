@@ -78,10 +78,21 @@ def _run_context() -> dict:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_pipeline_json():
-    """Flush collected pipeline medians to BENCH_pipeline.json."""
+def _write_pipeline_json(request):
+    """Flush collected pipeline medians to BENCH_pipeline.json.
+
+    Only a session that selected every test of this module writes the
+    file, so a ``-k``/``-m``-filtered or single-test run leaves the
+    committed baseline whole.
+    """
     yield
-    if _PIPELINE:
+    defined = {name for name in globals() if name.startswith("test_")}
+    selected = {
+        item.originalname
+        for item in request.session.items
+        if item.path == Path(__file__)
+    }
+    if _PIPELINE and selected == defined:
         _RESULTS_DIR.mkdir(exist_ok=True)
         out = _RESULTS_DIR / "BENCH_pipeline.json"
         payload = {"context": _run_context(), **_PIPELINE}
@@ -279,13 +290,13 @@ def test_perf_nn_fused_vs_reference(rng):
     """Fused float32 forward pass vs the autograd tensor stack."""
     from repro.ml.autograd import Tensor
     from repro.ml.compiled import compile_network
-    from repro.ml.nn import Activation, Dense, PCCParameterHead, Sequential
+    from repro.ml.nn import Dense, PCCParameterHead, ReLU, Sequential
 
     network = Sequential(
         Dense(52, 32, rng),
-        Activation("relu"),
+        ReLU(),
         Dense(32, 16, rng),
-        Activation("relu"),
+        ReLU(),
         PCCParameterHead(16, rng),
     )
     fused = compile_network(network)

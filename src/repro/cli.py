@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.arepas import error_summary, simulation_errors
-from repro.exceptions import ReproError
+from repro.exceptions import ModelError, ReproError
 from repro.fleet import ADMISSION_ORDERS, compare_policies, score_usable
 from repro.flighting import FlightHarness, build_flighted_dataset
 from repro.models import TrainConfig, build_dataset
@@ -111,7 +111,14 @@ _MODEL_BUILDERS = {
 
 def _load_model(path: Path):
     with open(path, "rb") as handle:
-        return pickle.load(handle)
+        try:
+            return pickle.load(handle)
+        except (AttributeError, ImportError) as exc:
+            # The pickle names a class or module this code no longer has.
+            raise ModelError(
+                f"cannot load model {path}: it was written by another "
+                f"version of repro ({exc})"
+            ) from exc
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

@@ -4,7 +4,7 @@
 online layers score through (see ``docs/performance.md``).
 """
 
-from repro.ml.autograd import Tensor, concat, maximum, tensor, where
+from repro.ml.autograd import Tensor, concat
 from repro.ml.compiled import FlattenedForest, FusedMLP, compile_network
 from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
 from repro.ml.gnn import (
@@ -17,35 +17,26 @@ from repro.ml.gnn import (
 from repro.ml.losses import LF1, LF2, LF3, CompositeLoss, LossInputs
 from repro.ml.metrics import (
     fraction_non_increasing,
-    mean_absolute_error,
-    mean_absolute_percentage_error,
     median_absolute_percentage_error,
 )
-from repro.ml.nn import Activation, Dense, Module, PCCParameterHead, Sequential
-from repro.ml.optim import SGD, Adam, Optimizer
+from repro.ml.nn import Dense, Module, PCCParameterHead, ReLU, Sequential
+from repro.ml.optim import Adam
 
 __all__ = [
     "Tensor",
-    "tensor",
     "concat",
-    "maximum",
-    "where",
     "Module",
     "Dense",
-    "Activation",
+    "ReLU",
     "Sequential",
     "PCCParameterHead",
-    "Optimizer",
-    "SGD",
     "Adam",
     "CompositeLoss",
     "LossInputs",
     "LF1",
     "LF2",
     "LF3",
-    "mean_absolute_error",
     "median_absolute_percentage_error",
-    "mean_absolute_percentage_error",
     "fraction_non_increasing",
     "BoosterParams",
     "GradientBoostingRegressor",

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = ["Tensor", "tensor", "concat", "maximum", "where"]
+__all__ = ["Tensor", "concat"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -63,18 +63,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
@@ -126,9 +119,6 @@ class Tensor:
     def __sub__(self, other: "Tensor | float") -> "Tensor":
         return self + (-_as_tensor(other))
 
-    def __rsub__(self, other: "Tensor | float") -> "Tensor":
-        return _as_tensor(other) + (-self)
-
     def __mul__(self, other: "Tensor | float") -> "Tensor":
         other = _as_tensor(other)
 
@@ -141,31 +131,6 @@ class Tensor:
         return Tensor._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "Tensor | float") -> "Tensor":
-        other = _as_tensor(other)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / other.data)
-            if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data**2))
-
-        return Tensor._make(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other: "Tensor | float") -> "Tensor":
-        return _as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise ModelError("tensor exponents are not supported; use exp/log")
-        value = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(value, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = _as_tensor(other)
@@ -207,13 +172,6 @@ class Tensor:
                 self._accumulate(grad * value)
 
         return Tensor._make(value, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -299,13 +257,6 @@ class Tensor:
 
         return Tensor._make(self.data.reshape(*shape), (self,), backward)
 
-    def transpose(self, axis1: int = -2, axis2: int = -1) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(np.asarray(grad), axis1, axis2))
-
-        return Tensor._make(np.swapaxes(self.data, axis1, axis2), (self,), backward)
-
     def __getitem__(self, index) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -353,11 +304,6 @@ def _as_tensor(value: "Tensor | float | np.ndarray") -> Tensor:
     return Tensor(value)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     if not tensors:
@@ -381,32 +327,3 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         _parents=tuple(tensors) if requires else (),
         _backward=backward if requires else None,
     )
-
-
-def maximum(a: Tensor, b: "Tensor | float") -> Tensor:
-    """Elementwise maximum; gradient flows to the winning operand."""
-    b = _as_tensor(b)
-    mask = a.data >= b.data
-
-    def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad)
-        if a.requires_grad:
-            a._accumulate(grad * mask)
-        if b.requires_grad:
-            b._accumulate(grad * ~mask)
-
-    return Tensor._make(np.maximum(a.data, b.data), (a, b), backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select on a boolean ``condition`` array."""
-    condition = np.asarray(condition, dtype=bool)
-
-    def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad)
-        if a.requires_grad:
-            a._accumulate(grad * condition)
-        if b.requires_grad:
-            b._accumulate(grad * ~condition)
-
-    return Tensor._make(np.where(condition, a.data, b.data), (a, b), backward)

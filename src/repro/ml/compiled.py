@@ -26,10 +26,10 @@ the CPU likes:
   tree axis adds the per-tree contributions in the reference's
   sequential order.
 
-* :class:`FusedMLP` — a ``Sequential`` of ``Dense`` / ``Activation`` /
+* :class:`FusedMLP` — a ``Sequential`` of ``Dense`` / ``ReLU`` /
   ``PCCParameterHead`` modules fused into a float32 forward pass over
   preallocated, thread-local scratch buffers: one ``matmul`` with an
-  ``out=`` target plus in-place activation per layer, no autograd graph,
+  ``out=`` target plus an in-place relu per layer, no autograd graph,
   no per-layer allocations after warm-up. Float32 is a deliberate
   trade: differential tests pin the result to the float64 reference
   within round-off, and the sign structure of the PCC head (``a <= 0``)
@@ -316,8 +316,7 @@ class FlattenedForest:
 # ----------------------------------------------------------------------
 # fused MLP forward pass
 # ----------------------------------------------------------------------
-_DENSE, _ACT, _HEAD = "dense", "act", "head"
-_ACTIVATIONS = ("relu", "tanh", "sigmoid", "softplus")
+_DENSE, _RELU, _HEAD = "dense", "relu", "head"
 
 
 def _softplus32(x: np.ndarray) -> np.ndarray:
@@ -329,27 +328,10 @@ def _softplus32(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + ax
 
 
-def _apply_activation(name: str, buf: np.ndarray) -> None:
-    if name == "relu":
-        np.maximum(buf, 0.0, out=buf)
-    elif name == "tanh":
-        np.tanh(buf, out=buf)
-    elif name == "sigmoid":
-        np.clip(buf, -60.0, 60.0, out=buf)
-        np.negative(buf, out=buf)
-        np.exp(buf, out=buf)
-        buf += 1.0
-        np.reciprocal(buf, out=buf)
-    elif name == "softplus":
-        buf[...] = _softplus32(buf)
-    else:  # pragma: no cover - guarded at compile time
-        raise ModelError(f"unknown activation: {name!r}")
-
-
 class FusedMLP:
     """A compiled ``Sequential``: float32 weights, preallocated buffers.
 
-    The op list alternates ``("dense", W, b)`` / ``("act", name)`` steps
+    The op list alternates ``("dense", W, b)`` / ``("relu",)`` steps
     and may end with ``("head", W, b)`` — the PCC parameter head, whose
     sign transform (``a = -softplus(raw_a)``) is fused in. Scratch
     buffers are cached per batch size in a ``threading.local`` pool so
@@ -402,11 +384,11 @@ class FusedMLP:
             out = x
             owned = False  # never mutate the caller's array in place
             for op in self.ops:
-                if op[0] == _ACT:
+                if op[0] == _RELU:
                     if not owned:
                         out = out.copy()
                         owned = True
-                    _apply_activation(op[1], out)
+                    np.maximum(out, 0.0, out=out)
                     continue
                 _, weight, bias = op
                 buf = bufs[k]
@@ -435,11 +417,11 @@ class FusedMLP:
 def compile_network(network) -> FusedMLP:
     """Fuse a ``repro.ml.nn`` module stack into a :class:`FusedMLP`.
 
-    Understands ``Sequential`` (recursively), ``Dense``, ``Activation``
-    and ``PCCParameterHead``; anything else raises :class:`ModelError`
-    so callers can fall back to the autograd reference path.
+    Understands ``Sequential`` (recursively), ``Dense``, ``ReLU`` and
+    ``PCCParameterHead``; anything else raises :class:`ModelError` so
+    callers can fall back to the autograd reference path.
     """
-    from repro.ml.nn import Activation, Dense, PCCParameterHead, Sequential
+    from repro.ml.nn import Dense, PCCParameterHead, ReLU, Sequential
 
     ops: list[tuple] = []
 
@@ -455,10 +437,8 @@ def compile_network(network) -> FusedMLP:
                     np.ascontiguousarray(module.bias.data, dtype=np.float32),
                 )
             )
-        elif isinstance(module, Activation):
-            if module.name not in _ACTIVATIONS:  # pragma: no cover
-                raise ModelError(f"cannot fuse activation {module.name!r}")
-            ops.append((_ACT, module.name))
+        elif isinstance(module, ReLU):
+            ops.append((_RELU,))
         elif isinstance(module, PCCParameterHead):
             ops.append(
                 (

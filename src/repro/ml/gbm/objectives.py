@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = ["Objective", "SquaredError", "GammaDeviance", "PinballLoss"]
+__all__ = ["Objective", "GammaDeviance", "PinballLoss"]
 
 
 class Objective(ABC):
@@ -47,21 +47,6 @@ class Objective(ABC):
 
     def validate_targets(self, y: np.ndarray) -> None:
         """Raise if the targets are unusable for this objective."""
-
-
-class SquaredError(Objective):
-    """Ordinary least squares; identity link."""
-
-    def base_score(self, y: np.ndarray) -> float:
-        return float(np.mean(y))
-
-    def gradients(
-        self, y: np.ndarray, raw: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return raw - y, np.ones_like(y)
-
-    def predict(self, raw: np.ndarray) -> np.ndarray:
-        return raw
 
 
 class GammaDeviance(Objective):

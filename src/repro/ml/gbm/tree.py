@@ -6,29 +6,34 @@ histograms — the same design as XGBoost's ``hist`` tree method. Split
 gain uses the standard second-order formula
 
     gain = 1/2 * [ G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda)
-                   - G^2/(H+lambda) ] - gamma
+                   - G^2/(H+lambda) ]
 
-and leaf weights are ``-G / (H + lambda)``.
+and leaf weights are ``-G / (H + lambda)``. A split is kept only when
+its gain is positive and each child holds at least one row and a
+hessian sum of at least ``MIN_CHILD_WEIGHT``. The regularisation
+values are XGBoost's defaults, which every model here trains with.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = ["BinMapper", "TreeParams", "RegressionTree"]
+__all__ = ["BinMapper", "RegressionTree"]
+
+#: Quantile bins per feature (bins fit in a ``uint8``).
+MAX_BINS = 64
+#: Smallest hessian sum a child of a split may hold.
+MIN_CHILD_WEIGHT = 1.0
+#: L2 penalty ``lambda`` on leaf weights.
+REG_LAMBDA = 1.0
 
 
 class BinMapper:
-    """Maps continuous features to small integer bins via quantiles."""
+    """Maps continuous features to ``MAX_BINS`` integer bins via quantiles."""
 
-    def __init__(self, max_bins: int = 64) -> None:
-        if not 2 <= max_bins <= 256:
-            raise ModelError("max_bins must be in [2, 256]")
-        self.max_bins = max_bins
+    def __init__(self) -> None:
         self.bin_edges_: list[np.ndarray] | None = None
 
     def fit(self, features: np.ndarray) -> "BinMapper":
@@ -36,12 +41,12 @@ class BinMapper:
         if features.ndim != 2:
             raise ModelError("features must be a 2-D matrix")
         edges = []
-        quantiles = np.linspace(0, 1, self.max_bins + 1)[1:-1]
+        quantiles = np.linspace(0, 1, MAX_BINS + 1)[1:-1]
         for column in features.T:
             unique = np.unique(column)
             if unique.size <= 1:
                 edges.append(np.empty(0))
-            elif unique.size <= self.max_bins:
+            elif unique.size <= MAX_BINS:
                 midpoints = (unique[1:] + unique[:-1]) / 2.0
                 edges.append(midpoints)
             else:
@@ -65,27 +70,6 @@ class BinMapper:
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
         return self.fit(features).transform(features)
 
-    @property
-    def num_bins(self) -> int:
-        return self.max_bins
-
-
-@dataclass(frozen=True)
-class TreeParams:
-    """Growth hyper-parameters of one tree."""
-
-    max_depth: int = 6
-    min_child_weight: float = 1.0
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    min_samples_leaf: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise ModelError("max_depth must be at least 1")
-        if self.reg_lambda < 0 or self.gamma < 0:
-            raise ModelError("regularisation must be non-negative")
-
 
 class RegressionTree:
     """A single second-order regression tree over binned features.
@@ -94,8 +78,10 @@ class RegressionTree:
     values) for fast vectorised prediction.
     """
 
-    def __init__(self, params: TreeParams) -> None:
-        self.params = params
+    def __init__(self, max_depth: int) -> None:
+        if max_depth < 1:
+            raise ModelError("max_depth must be at least 1")
+        self.max_depth = max_depth
         self._feature: list[int] = []
         self._bin_threshold: list[int] = []
         self._left: list[int] = []
@@ -108,33 +94,20 @@ class RegressionTree:
         binned: np.ndarray,
         grad: np.ndarray,
         hess: np.ndarray,
-        feature_indices: np.ndarray | None = None,
-        num_bins: int = 256,
     ) -> "RegressionTree":
-        """Grow the tree on pre-binned features.
-
-        ``feature_indices`` optionally restricts the candidate split
-        features (column subsampling).
-        """
+        """Grow the tree on ``BinMapper`` bins."""
         if binned.ndim != 2:
             raise ModelError("binned features must be 2-D")
         n_samples, n_features = binned.shape
         if grad.shape != (n_samples,) or hess.shape != (n_samples,):
             raise ModelError("gradient/hessian shapes do not match features")
-        if feature_indices is None:
-            feature_indices = np.arange(n_features)
 
-        # Histogram bucket of every (sample, candidate feature) pair, built
-        # once per tree: sample s, feature f lands in bucket
-        # bin(s, f) * n_feat + f. Each node's split search slices its rows.
-        n_feat = feature_indices.size
-        codes = (
-            binned[:, feature_indices].astype(np.int64) * n_feat
-            + np.arange(n_feat)
-        )
+        # Histogram bucket of every (sample, feature) pair, built once per
+        # tree: sample s, feature f lands in bucket bin(s, f) * n_features
+        # + f. Each node's split search slices its rows.
+        codes = binned.astype(np.int64) * n_features + np.arange(n_features)
         rows = np.arange(n_samples)
-        self._num_bins = int(num_bins)
-        self._grow(binned, codes, grad, hess, rows, feature_indices, depth=0)
+        self._grow(binned, codes, grad, hess, rows, depth=0)
         return self
 
     def _new_node(self) -> int:
@@ -152,22 +125,18 @@ class RegressionTree:
         grad: np.ndarray,
         hess: np.ndarray,
         rows: np.ndarray,
-        feature_indices: np.ndarray,
         depth: int,
     ) -> int:
         node = self._new_node()
         g_total = float(grad[rows].sum())
         h_total = float(hess[rows].sum())
-        params = self.params
 
-        leaf_value = -g_total / (h_total + params.reg_lambda)
-        if depth >= params.max_depth or rows.size < 2 * params.min_samples_leaf:
+        leaf_value = -g_total / (h_total + REG_LAMBDA)
+        if depth >= self.max_depth or rows.size < 2:
             self._value[node] = leaf_value
             return node
 
-        split = self._best_split(
-            codes, grad, hess, rows, feature_indices, g_total, h_total
-        )
+        split = self._best_split(codes, grad, hess, rows, g_total, h_total)
         if split is None:
             self._value[node] = leaf_value
             return node
@@ -179,12 +148,8 @@ class RegressionTree:
 
         self._feature[node] = int(feature)
         self._bin_threshold[node] = int(threshold)
-        left = self._grow(
-            binned, codes, grad, hess, left_rows, feature_indices, depth + 1
-        )
-        right = self._grow(
-            binned, codes, grad, hess, right_rows, feature_indices, depth + 1
-        )
+        left = self._grow(binned, codes, grad, hess, left_rows, depth + 1)
+        right = self._grow(binned, codes, grad, hess, right_rows, depth + 1)
         self._left[node] = left
         self._right[node] = right
         return node
@@ -195,30 +160,26 @@ class RegressionTree:
         grad: np.ndarray,
         hess: np.ndarray,
         rows: np.ndarray,
-        feature_indices: np.ndarray,
         g_total: float,
         h_total: float,
     ) -> tuple[int, int] | None:
-        params = self.params
-        lam = params.reg_lambda
-        parent_score = g_total**2 / (h_total + lam)
+        parent_score = g_total**2 / (h_total + REG_LAMBDA)
 
         node_grad = grad[rows]
         node_hess = hess[rows]
-        num_bins = self._num_bins
-        n_feat = feature_indices.size
+        n_feat = codes.shape[1]
 
         # One flat bincount over the node's rows of ``codes`` builds the
-        # histograms of every candidate feature at once.
+        # histograms of every feature at once.
         flat = codes[rows].ravel()
-        length = num_bins * n_feat
+        length = MAX_BINS * n_feat
         g_hist = np.bincount(
             flat, weights=np.repeat(node_grad, n_feat), minlength=length
-        ).reshape(num_bins, n_feat)
+        ).reshape(MAX_BINS, n_feat)
         h_hist = np.bincount(
             flat, weights=np.repeat(node_hess, n_feat), minlength=length
-        ).reshape(num_bins, n_feat)
-        c_hist = np.bincount(flat, minlength=length).reshape(num_bins, n_feat)
+        ).reshape(MAX_BINS, n_feat)
+        c_hist = np.bincount(flat, minlength=length).reshape(MAX_BINS, n_feat)
 
         g_left = np.cumsum(g_hist, axis=0)[:-1]
         h_left = np.cumsum(h_hist, axis=0)[:-1]
@@ -228,23 +189,23 @@ class RegressionTree:
         c_right = rows.size - c_left
 
         valid = (
-            (h_left >= params.min_child_weight)
-            & (h_right >= params.min_child_weight)
-            & (c_left >= params.min_samples_leaf)
-            & (c_right >= params.min_samples_leaf)
+            (h_left >= MIN_CHILD_WEIGHT)
+            & (h_right >= MIN_CHILD_WEIGHT)
+            & (c_left > 0)
+            & (c_right > 0)
         )
         if not np.any(valid):
             return None
         gains = 0.5 * (
-            g_left**2 / (h_left + lam)
-            + g_right**2 / (h_right + lam)
+            g_left**2 / (h_left + REG_LAMBDA)
+            + g_right**2 / (h_right + REG_LAMBDA)
             - parent_score
-        ) - params.gamma
+        )
         gains = np.where(valid, gains, -np.inf)
-        best_bin, best_pos = np.unravel_index(np.argmax(gains), gains.shape)
-        if gains[best_bin, best_pos] <= 0.0:
+        best_bin, best_feature = np.unravel_index(np.argmax(gains), gains.shape)
+        if gains[best_bin, best_feature] <= 0.0:
             return None
-        return (int(feature_indices[best_pos]), int(best_bin))
+        return (int(best_feature), int(best_bin))
 
     # ------------------------------------------------------------------
     def predict(self, binned: np.ndarray) -> np.ndarray:
@@ -285,10 +246,6 @@ class RegressionTree:
             np.asarray(self._right, dtype=np.int64),
             np.asarray(self._value, dtype=np.float64),
         )
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._value)
 
     @property
     def num_leaves(self) -> int:

@@ -6,46 +6,22 @@ import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = [
-    "mean_absolute_error",
-    "median_absolute_percentage_error",
-    "mean_absolute_percentage_error",
-    "fraction_non_increasing",
-]
-
-
-def _validate_pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.shape != y_pred.shape:
-        raise ModelError("prediction and target shapes differ")
-    if y_true.size == 0:
-        raise ModelError("cannot compute a metric over zero samples")
-    return y_true, y_pred
-
-
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Plain MAE; used for the curve-parameter comparison (Tables 4-6)."""
-    y_true, y_pred = _validate_pair(y_true, y_pred)
-    return float(np.abs(y_true - y_pred).mean())
+__all__ = ["median_absolute_percentage_error", "fraction_non_increasing"]
 
 
 def median_absolute_percentage_error(
     y_true: np.ndarray, y_pred: np.ndarray
 ) -> float:
     """Median of ``|pred - true| / true`` in percent (the "Median AE")."""
-    y_true, y_pred = _validate_pair(y_true, y_pred)
+    y_true = np.asarray(y_true, dtype=float)
+    y_pred = np.asarray(y_pred, dtype=float)
+    if y_true.shape != y_pred.shape:
+        raise ModelError("prediction and target shapes differ")
+    if y_true.size == 0:
+        raise ModelError("cannot compute a metric over zero samples")
     if np.any(y_true <= 0):
         raise ModelError("percentage errors require positive targets")
     return float(np.median(np.abs(y_pred - y_true) / y_true) * 100.0)
-
-
-def mean_absolute_percentage_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean of ``|pred - true| / true`` in percent."""
-    y_true, y_pred = _validate_pair(y_true, y_pred)
-    if np.any(y_true <= 0):
-        raise ModelError("percentage errors require positive targets")
-    return float(np.mean(np.abs(y_pred - y_true) / y_true) * 100.0)
 
 
 def fraction_non_increasing(curves: list[np.ndarray], tolerance: float = 0.0) -> float:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.ml.autograd import Tensor
+from repro.ml.autograd import Tensor, concat
 
-__all__ = ["Module", "Dense", "Activation", "Sequential", "PCCParameterHead"]
+__all__ = ["Module", "Dense", "ReLU", "Sequential", "PCCParameterHead"]
 
 
 class Module:
@@ -58,18 +58,11 @@ class Dense(Module):
         return inputs @ self.weight + self.bias
 
 
-class Activation(Module):
-    """Parameterless activation wrapper."""
-
-    _FUNCS = {"relu", "tanh", "sigmoid", "softplus"}
-
-    def __init__(self, name: str) -> None:
-        if name not in self._FUNCS:
-            raise ModelError(f"unknown activation: {name!r}")
-        self.name = name
+class ReLU(Module):
+    """The rectifier between layers, the networks' one activation."""
 
     def forward(self, inputs: Tensor) -> Tensor:
-        return getattr(inputs, self.name)()
+        return inputs.relu()
 
 
 class Sequential(Module):
@@ -126,6 +119,4 @@ class PCCParameterHead(Module):
         raw_a = raw[:, 0:1]
         raw_logb = raw[:, 1:2]
         a = -raw_a.softplus()
-        from repro.ml.autograd import concat
-
         return concat([a, raw_logb], axis=1)

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers for the autograd models."""
+"""The Adam optimizer that trains the NN and GNN models."""
 
 from __future__ import annotations
 
@@ -7,13 +7,20 @@ import numpy as np
 from repro.exceptions import ModelError
 from repro.ml.autograd import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
+
+#: Kingma & Ba's defaults, which every model trains with.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
-class Optimizer:
-    """Base optimizer over a list of parameter tensors."""
+class Adam:
+    """Adam (Kingma & Ba) with bias correction over parameter tensors."""
 
-    def __init__(self, parameters: list[Tensor], learning_rate: float) -> None:
+    def __init__(
+        self, parameters: list[Tensor], learning_rate: float = 1e-3
+    ) -> None:
         if learning_rate <= 0:
             raise ModelError("learning rate must be positive")
         if not parameters:
@@ -23,73 +30,27 @@ class Optimizer:
                 raise ModelError("all optimized tensors must require grad")
         self.parameters = parameters
         self.learning_rate = learning_rate
+        self._step = 0
+        self._m = [np.zeros_like(p.data) for p in parameters]
+        self._v = [np.zeros_like(p.data) for p in parameters]
 
     def zero_grad(self) -> None:
         for p in self.parameters:
             p.zero_grad()
 
     def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: list[Tensor],
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, learning_rate)
-        if not 0 <= momentum < 1:
-            raise ModelError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in parameters]
-
-    def step(self) -> None:
-        for p, velocity in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.learning_rate * p.grad
-            p.data = p.data + velocity
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
-
-    def __init__(
-        self,
-        parameters: list[Tensor],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, learning_rate)
-        if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
-            raise ModelError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self._step = 0
-        self._m = [np.zeros_like(p.data) for p in parameters]
-        self._v = [np.zeros_like(p.data) for p in parameters]
-
-    def step(self) -> None:
         self._step += 1
-        correction1 = 1.0 - self.beta1**self._step
-        correction2 = 1.0 - self.beta2**self._step
+        correction1 = 1.0 - BETA1**self._step
+        correction2 = 1.0 - BETA2**self._step
         for p, m, v in zip(self.parameters, self._m, self._v):
             if p.grad is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
+            m *= BETA1
+            m += (1.0 - BETA1) * p.grad
+            v *= BETA2
+            v += (1.0 - BETA2) * p.grad**2
             m_hat = m / correction1
             v_hat = v / correction2
             p.data = p.data - self.learning_rate * m_hat / (
-                np.sqrt(v_hat) + self.epsilon
+                np.sqrt(v_hat) + EPSILON
             )

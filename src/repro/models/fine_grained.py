@@ -18,7 +18,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.exceptions import ModelError, NotFittedError
+from repro.exceptions import ModelError
 from repro.models.base import PCCPredictor, power_law_runtimes
 from repro.models.dataset import PCCDataset
 from repro.scope.signatures import plan_signature
@@ -161,12 +161,16 @@ class FineGrainedPCCModel(PCCPredictor):
             self.predict_parameters_routed(dataset, plans), tokens
         )
 
-    # The PCCPredictor interface requires plan-less methods; fine-grained
-    # prediction is signature-routed, so these raise with guidance.
-    def predict_runtime_at(self, dataset, tokens):  # pragma: no cover
-        raise NotFittedError(
-            "use predict_runtime_at_routed(dataset, tokens, plans)"
-        )
+    def predict_parameters(self, dataset: PCCDataset) -> np.ndarray:
+        """Not answerable without plans: prediction is signature-routed.
 
-    def predict_curves(self, dataset, grids):  # pragma: no cover
-        raise NotFittedError("fine-grained models require routed prediction")
+        The plan-less curve, PCC and run-time methods of
+        :class:`PCCPredictor` all read this, so each raises the same
+        :class:`ModelError`.
+        """
+        self._check_fitted()
+        raise ModelError(
+            "fine-grained models route by plan signature: use "
+            "predict_parameters_routed(dataset, plans) or "
+            "predict_runtime_at_routed(dataset, tokens, plans)"
+        )

@@ -23,7 +23,7 @@ from repro.ml.autograd import Tensor
 from repro.ml.blas import single_thread
 from repro.ml.gnn import GNNEncoder, PackedBatch, PackedGraphs
 from repro.ml.losses import CompositeLoss, LF2
-from repro.ml.nn import Activation, Dense, PCCParameterHead, Sequential
+from repro.ml.nn import Dense, PCCParameterHead, ReLU, Sequential
 from repro.models.base import PCCPredictor
 from repro.models.dataset import PCCDataset
 from repro.models.training import (
@@ -77,7 +77,7 @@ class GNNPCCModel(PCCPredictor):
         previous = self._encoder.output_dim
         for size in HEAD_SIZES:
             modules.append(Dense(previous, size, rng))
-            modules.append(Activation("relu"))
+            modules.append(ReLU())
             previous = size
         modules.append(PCCParameterHead(previous, rng))
         self._head = Sequential(*modules)

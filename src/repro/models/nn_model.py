@@ -29,7 +29,7 @@ from repro.ml import compiled as compiled_kernels
 from repro.ml.autograd import Tensor
 from repro.ml.compiled import FusedMLP, compile_network
 from repro.ml.losses import CompositeLoss, LF2
-from repro.ml.nn import Activation, Dense, PCCParameterHead, Sequential
+from repro.ml.nn import Dense, PCCParameterHead, ReLU, Sequential
 from repro.models.base import PCCPredictor
 from repro.models.dataset import PCCDataset
 from repro.models.training import (
@@ -91,7 +91,7 @@ class NNPCCModel(PCCPredictor):
         previous = in_features
         for size in HIDDEN_SIZES:
             modules.append(Dense(previous, size, rng))
-            modules.append(Activation("relu"))
+            modules.append(ReLU())
             previous = size
         modules.append(PCCParameterHead(previous, rng))
         return Sequential(*modules)

@@ -125,9 +125,7 @@ class XGBoostRuntimeModel(PCCPredictor):
     def fit(self, dataset: PCCDataset) -> "XGBoostRuntimeModel":
         rows, targets = dataset.point_rows()
         self._booster = GradientBoostingRegressor(
-            self.booster_params,
-            objective="gamma",
-            seed=self._seed,
+            self.booster_params, seed=self._seed
         )
         self._booster.fit(rows, targets)
         self._quantile_boosters = ()

@@ -7,6 +7,7 @@ from repro.baselines import AutoToken
 from repro.exceptions import ModelError, NotFittedError
 from repro.models import FineGrainedPCCModel, NNPCCModel, TrainConfig, build_dataset
 from repro.scope import WorkloadConfig, WorkloadGenerator, run_workload
+from repro.tasq import ScoringPipeline
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,32 @@ class TestFineGrained:
             dataset, dataset.observed_tokens(), plans
         )
         assert np.all(runtimes > 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model, data, plans: model.predict_runtime_at(
+                data, data.observed_tokens()
+            ),
+            lambda model, data, plans: model.predict_curves(
+                data, [np.array([1.0, 2.0])] * len(data)
+            ),
+            lambda model, data, plans: model.predict_pccs(data),
+            lambda model, data, plans: model.predict_pcc_intervals(data),
+            lambda model, data, plans: ScoringPipeline(model).score_batch(
+                plans[:3], [10, 10, 10]
+            ),
+        ],
+        ids=["runtime_at", "curves", "pccs", "pcc_intervals", "score_batch"],
+    )
+    def test_plan_less_api_names_the_routed_methods(self, fitted, call):
+        model, dataset, plans = fitted
+        with pytest.raises(ModelError) as raised:
+            call(model, dataset, plans)
+        assert not isinstance(raised.value, NotFittedError)
+        message = str(raised.value)
+        assert "predict_parameters_routed(dataset, plans)" in message
+        assert "predict_runtime_at_routed(dataset, tokens, plans)" in message
 
     def test_uncovered_job_raises(self, fitted, recurring_world):
         model, _, _ = fitted

@@ -24,8 +24,14 @@ from repro.features import featurize
 from repro.ml import compiled
 from repro.ml.autograd import Tensor
 from repro.ml.compiled import FlattenedForest, FusedMLP, compile_network
-from repro.ml.gbm import BinMapper, BoosterParams, GradientBoostingRegressor
-from repro.ml.nn import Activation, Dense, Module, PCCParameterHead, Sequential
+from repro.ml.gbm import (
+    BinMapper,
+    BoosterParams,
+    GammaDeviance,
+    GradientBoostingRegressor,
+    PinballLoss,
+)
+from repro.ml.nn import Dense, Module, PCCParameterHead, ReLU, Sequential
 from repro.models.dataset import PCCDataset
 from repro.models.nn_model import NNPCCModel
 from repro.models.xgboost_models import XGBoostPL, XGBoostRuntimeModel
@@ -56,23 +62,22 @@ def fitted_booster():
 class TestFlattenedForestExact:
     """GBM kernel: np.array_equal against the python traversal."""
 
-    @pytest.mark.parametrize("objective", ["gamma", "squared_error"])
+    @pytest.mark.parametrize(
+        "objective", [GammaDeviance(), PinballLoss(0.5)], ids=["gamma", "pinball"]
+    )
     @pytest.mark.parametrize(
         "params",
         [
             BoosterParams(n_estimators=20, max_depth=5),
             BoosterParams(n_estimators=10, max_depth=1),
-            BoosterParams(
-                n_estimators=12, max_depth=3, subsample=0.6, colsample=0.5
-            ),
-            # min_child_weight so high every tree degenerates to one leaf
-            BoosterParams(n_estimators=4, max_depth=3, min_child_weight=1e9),
+            BoosterParams(n_estimators=12, max_depth=3, subsample=0.6),
+            # Each tree keeps one row, so no split reaches the minimum
+            # child weight on both sides and every tree is one leaf.
+            BoosterParams(n_estimators=4, max_depth=3, subsample=1e-9),
         ],
     )
     def test_bit_identical_across_configs(self, objective, params):
         features, targets = _training_data(seed=2)
-        if objective == "squared_error":
-            targets = np.log(targets) - 3.0  # signed targets
         model = GradientBoostingRegressor(
             params, objective=objective, seed=3
         ).fit(features, targets)
@@ -306,7 +311,7 @@ class TestInKernelBinning:
         # A mapper fitted on non-finite values holds inf and NaN edges.
         column = np.array([-np.inf, 1.0, 2.0, 2.0, np.inf, np.nan])
         with np.errstate(invalid="ignore"):
-            mapper = BinMapper(8).fit(
+            mapper = BinMapper().fit(
                 np.column_stack([column, column[::-1], np.arange(6.0)])
             )
         assert any(np.isnan(e).any() for e in mapper.bin_edges_)
@@ -352,17 +357,10 @@ class TestLeafAccumulation:
 class TestFusedMLP:
     """NN kernel: float32 agreement plus exact structural guarantees."""
 
-    @pytest.mark.parametrize(
-        "activation", ["relu", "tanh", "sigmoid", "softplus"]
-    )
-    def test_matches_autograd_within_float32(self, activation):
+    def test_matches_autograd_within_float32(self):
         rng = np.random.default_rng(7)
         network = Sequential(
-            Dense(6, 16, rng),
-            Activation(activation),
-            Dense(16, 8, rng),
-            Activation(activation),
-            Dense(8, 3, rng),
+            Dense(6, 16, rng), ReLU(), Dense(16, 8, rng), ReLU(), Dense(8, 3, rng)
         )
         fused = compile_network(network)
         batch = rng.normal(0, 2, size=(40, 6))
@@ -374,7 +372,7 @@ class TestFusedMLP:
     def test_pcc_head_sign_guarantee_is_exact(self):
         rng = np.random.default_rng(8)
         network = Sequential(
-            Dense(5, 12, rng), Activation("relu"), PCCParameterHead(12, rng)
+            Dense(5, 12, rng), ReLU(), PCCParameterHead(12, rng)
         )
         fused = compile_network(network)
         batch = rng.normal(0, 3, size=(64, 5))
@@ -386,7 +384,7 @@ class TestFusedMLP:
     @pytest.mark.parametrize("rows", [0, 1, 37])
     def test_degenerate_batch_sizes(self, rows):
         rng = np.random.default_rng(9)
-        network = Sequential(Dense(4, 6, rng), Activation("tanh"), Dense(6, 2, rng))
+        network = Sequential(Dense(4, 6, rng), ReLU(), Dense(6, 2, rng))
         fused = compile_network(network)
         batch = rng.normal(size=(rows, 4))
         got = fused.predict(batch)
@@ -396,7 +394,7 @@ class TestFusedMLP:
 
     def test_does_not_mutate_caller_input(self):
         rng = np.random.default_rng(10)
-        fused = FusedMLP([("act", "relu"), ("dense",
+        fused = FusedMLP([("relu",), ("dense",
                           rng.normal(size=(3, 2)).astype(np.float32),
                           np.zeros(2, dtype=np.float32))])
         batch = np.asarray(rng.normal(size=(5, 3)), dtype=np.float32)
@@ -426,7 +424,7 @@ class TestFusedMLP:
         import pickle
 
         rng = np.random.default_rng(15)
-        network = Sequential(Dense(4, 6, rng), Activation("relu"), Dense(6, 2, rng))
+        network = Sequential(Dense(4, 6, rng), ReLU(), Dense(6, 2, rng))
         fused = compile_network(network)
         batch = rng.normal(size=(8, 4))
         expected = fused.predict(batch)  # warm the buffer pool first
@@ -435,7 +433,7 @@ class TestFusedMLP:
 
     def test_thread_local_buffers_give_identical_results(self):
         rng = np.random.default_rng(13)
-        network = Sequential(Dense(6, 8, rng), Activation("relu"), Dense(8, 2, rng))
+        network = Sequential(Dense(6, 8, rng), ReLU(), Dense(8, 2, rng))
         fused = compile_network(network)
         batch = rng.normal(size=(16, 6))
         expected = fused.predict(batch)

@@ -13,9 +13,8 @@ from repro.ml.gbm import (
     GradientBoostingRegressor,
     PinballLoss,
     RegressionTree,
-    SquaredError,
-    TreeParams,
 )
+from repro.ml.gbm.tree import MAX_BINS
 from repro.models.xgboost_models import (
     QUANTILE_HEAD_PARAMS,
     XGBoostRuntimeModel,
@@ -25,16 +24,14 @@ from repro.models.xgboost_models import (
 class TestBinMapper:
     def test_bins_monotone_with_values(self, rng):
         values = rng.uniform(0, 100, size=(500, 1))
-        mapper = BinMapper(max_bins=16)
-        binned = mapper.fit_transform(values)
+        binned = BinMapper().fit_transform(values)
         order = np.argsort(values[:, 0])
         assert np.all(np.diff(binned[order, 0].astype(int)) >= 0)
-        assert binned.max() < 16
+        assert binned.max() == MAX_BINS - 1
 
     def test_low_cardinality_column_gets_exact_bins(self):
         values = np.array([[0.0], [1.0], [2.0], [1.0]])
-        mapper = BinMapper(max_bins=64)
-        binned = mapper.fit_transform(values)
+        binned = BinMapper().fit_transform(values)
         assert len(np.unique(binned)) == 3
 
     def test_constant_column(self):
@@ -46,25 +43,15 @@ class TestBinMapper:
         with pytest.raises(ModelError):
             BinMapper().transform(np.ones((2, 2)))
 
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ModelError):
-            BinMapper(max_bins=1)
-
     def test_unseen_values_clamp_to_edges(self, rng):
         train = rng.uniform(0, 1, size=(100, 1))
-        mapper = BinMapper(max_bins=8).fit(train)
+        mapper = BinMapper().fit(train)
         out = mapper.transform(np.array([[-5.0], [5.0]]))
         assert out[0, 0] == 0
         assert out[1, 0] == out.max()
 
 
 class TestObjectives:
-    def test_squared_error_gradients(self):
-        obj = SquaredError()
-        grad, hess = obj.gradients(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
-        assert list(grad) == [2.0, -1.0]
-        assert list(hess) == [1.0, 1.0]
-
     def test_gamma_gradient_zero_at_optimum(self):
         obj = GammaDeviance()
         y = np.array([10.0, 20.0])
@@ -86,37 +73,38 @@ class TestRegressionTree:
     def test_single_split_recovers_step_function(self):
         features = np.arange(100, dtype=float).reshape(-1, 1)
         targets = np.where(features[:, 0] < 50, 1.0, 5.0)
-        mapper = BinMapper(max_bins=32)
-        binned = mapper.fit_transform(features)
+        binned = BinMapper().fit_transform(features)
         grad = (0.0 - targets)  # squared-error grad at raw=0
         hess = np.ones(100)
-        tree = RegressionTree(TreeParams(max_depth=1, reg_lambda=0.0))
-        tree.fit(binned, grad, hess, num_bins=32)
+        tree = RegressionTree(max_depth=1).fit(binned, grad, hess)
         predictions = tree.predict(binned)
-        assert predictions[0] == pytest.approx(1.0)
-        assert predictions[-1] == pytest.approx(5.0)
+        # Leaf weight -G / (H + lambda) with lambda = 1 over 50 rows each.
+        assert predictions[0] == pytest.approx(50 / 51)
+        assert predictions[-1] == pytest.approx(250 / 51)
         assert tree.num_leaves == 2
 
     def test_depth_zero_like_leaf_only(self):
         binned = np.zeros((10, 1), dtype=np.uint8)
-        tree = RegressionTree(TreeParams(max_depth=1))
-        tree.fit(binned, np.ones(10), np.ones(10), num_bins=2)
+        tree = RegressionTree(max_depth=1)
+        tree.fit(binned, np.ones(10), np.ones(10))
         # Constant feature: no split possible -> single leaf.
         assert tree.num_leaves == 1
 
-    def test_min_samples_leaf_respected(self):
+    def test_min_child_weight_respected(self):
         features = np.arange(10, dtype=float).reshape(-1, 1)
         targets = np.where(features[:, 0] < 1, 100.0, 0.0)  # 1-sample split
-        binned = BinMapper(max_bins=16).fit_transform(features)
-        tree = RegressionTree(TreeParams(max_depth=3, min_samples_leaf=3))
-        tree.fit(binned, -targets, np.ones(10), num_bins=16)
+        binned = BinMapper().fit_transform(features)
+        # Hessian 0.4 per row: a child needs three rows to reach 1.0.
+        tree = RegressionTree(max_depth=3)
+        tree.fit(binned, -targets, np.full(10, 0.4))
         leaves = tree.predict(binned)
         values, counts = np.unique(leaves, return_counts=True)
+        assert tree.num_leaves > 1
         assert counts.min() >= 3
 
     def test_predict_before_fit(self):
         with pytest.raises(ModelError):
-            RegressionTree(TreeParams()).predict(np.zeros((1, 1), dtype=np.uint8))
+            RegressionTree(max_depth=6).predict(np.zeros((1, 1), dtype=np.uint8))
 
 
 class TestBooster:
@@ -124,8 +112,7 @@ class TestBooster:
         features = rng.uniform(0, 10, size=(1500, 4))
         targets = 2.0 * features[:, 0] + features[:, 1] + 5.0
         model = GradientBoostingRegressor(
-            BoosterParams(n_estimators=80, max_depth=4),
-            objective="squared_error",
+            BoosterParams(n_estimators=80, max_depth=4)
         )
         model.fit(features, targets)
         predictions = model.predict(features)
@@ -136,7 +123,7 @@ class TestBooster:
         features = rng.uniform(0, 10, size=(800, 3))
         targets = np.exp(0.3 * features[:, 0]) + 1.0
         model = GradientBoostingRegressor(
-            BoosterParams(n_estimators=50, max_depth=3), objective="gamma"
+            BoosterParams(n_estimators=50, max_depth=3), GammaDeviance()
         )
         model.fit(features, targets)
         assert np.all(model.predict(features) > 0)
@@ -144,32 +131,19 @@ class TestBooster:
     def test_training_loss_decreases(self, rng):
         features = rng.uniform(0, 10, size=(500, 3))
         targets = features[:, 0] * 3 + 10
-        model = GradientBoostingRegressor(
-            BoosterParams(n_estimators=30), objective="gamma"
-        )
-        model.fit(features, targets)
-        assert model.train_scores_[-1] < model.train_scores_[0]
 
-    def test_early_stopping(self, rng):
-        features = rng.uniform(0, 10, size=(400, 3))
-        targets = features[:, 0] + 1.0 + rng.normal(0, 0.01, 400)
-        params = BoosterParams(
-            n_estimators=300, early_stopping_rounds=5, learning_rate=0.3
-        )
-        model = GradientBoostingRegressor(params, objective="squared_error")
-        model.fit(
-            features[:300], targets[:300],
-            eval_set=(features[300:], targets[300:]),
-        )
-        assert model.num_trees < 300
+        def training_mae(rounds):
+            model = GradientBoostingRegressor(BoosterParams(n_estimators=rounds))
+            model.fit(features, targets)
+            return np.abs(model.predict(features) - targets).mean()
 
-    def test_subsample_and_colsample(self, rng):
+        assert training_mae(30) < training_mae(1)
+
+    def test_subsample(self, rng):
         features = rng.uniform(0, 10, size=(300, 5))
         targets = features[:, 0] + 2.0
         model = GradientBoostingRegressor(
-            BoosterParams(n_estimators=20, subsample=0.7, colsample=0.6),
-            objective="squared_error",
-            seed=1,
+            BoosterParams(n_estimators=20, subsample=0.7), seed=1
         )
         model.fit(features, targets)
         assert np.abs(model.predict(features) - targets).mean() < 1.0
@@ -179,8 +153,10 @@ class TestBooster:
             GradientBoostingRegressor().predict(np.ones((2, 2)))
 
     def test_unknown_objective(self):
-        with pytest.raises(ModelError):
-            GradientBoostingRegressor(objective="poisson9000")
+        # Objectives are instances; names and classes are rejected.
+        for objective in ("gamma", GammaDeviance):
+            with pytest.raises(ModelError):
+                GradientBoostingRegressor(objective=objective)
 
     def test_deterministic_given_seed(self, rng):
         features = rng.uniform(0, 10, size=(300, 3))
@@ -206,7 +182,7 @@ class TestBooster:
 SPLIT_SEARCH_PINS = {
     "gamma_booster": (
         XGBoostRuntimeModel().booster_params,
-        "gamma",
+        GammaDeviance(),
         0,
         "98c3a6a4ee95879623d63b17a2e340bdd753b7b7b3bbb5791b13559b5d792886",
     ),
@@ -216,17 +192,11 @@ SPLIT_SEARCH_PINS = {
         101,
         "782dccb8cfd8aac488e7842fe4ae95ae64234ac5a9486d78a5ae39c1fe037176",
     ),
-    "row_and_column_sampling": (
-        BoosterParams(n_estimators=40, subsample=0.8, colsample=0.5),
-        "gamma",
+    "row_sampling": (
+        BoosterParams(n_estimators=40, subsample=0.8),
+        GammaDeviance(),
         3,
-        "52bd90799016e144f6b6387b751f1a622d2a57d1b0b7a6dc935e3ecb8c4dea43",
-    ),
-    "squared_error": (
-        BoosterParams(n_estimators=40),
-        "squared_error",
-        0,
-        "ac621f7002ea7110a2b19075f7728c8b3c2ca0eef17fb1d8a898b088241c907a",
+        "d433164ee2d7b61b1e5ae9e344bb4fef230738944bc5ccbd99ccef7dcdd5e640",
     ),
 }
 

@@ -1,18 +1,10 @@
-"""Unit tests for neural layers, heads, and optimizers."""
+"""Unit tests for neural layers, heads, and the Adam optimizer."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.ml import (
-    SGD,
-    Activation,
-    Adam,
-    Dense,
-    PCCParameterHead,
-    Sequential,
-    Tensor,
-)
+from repro.ml import Adam, Dense, PCCParameterHead, ReLU, Sequential, Tensor
 
 
 class TestDense:
@@ -36,16 +28,11 @@ class TestDense:
 
 class TestActivationAndSequential:
     def test_relu_activation(self, rng):
-        act = Activation("relu")
-        out = act(Tensor(np.array([-1.0, 2.0])))
+        out = ReLU()(Tensor(np.array([-1.0, 2.0])))
         assert list(out.data) == [0.0, 2.0]
 
-    def test_unknown_activation(self):
-        with pytest.raises(ModelError):
-            Activation("swish9000")
-
     def test_sequential_composes(self, rng):
-        net = Sequential(Dense(4, 8, rng), Activation("relu"), Dense(8, 2, rng))
+        net = Sequential(Dense(4, 8, rng), ReLU(), Dense(8, 2, rng))
         out = net(Tensor(np.ones((3, 4))))
         assert out.shape == (3, 2)
         assert net.num_parameters() == (4 * 8 + 8) + (8 * 2 + 2)
@@ -83,15 +70,6 @@ class TestOptimizers:
 
         return weight, target, loss
 
-    def test_sgd_converges(self):
-        weight, target, loss = self._quadratic_problem()
-        optimizer = SGD([weight], learning_rate=0.1, momentum=0.5)
-        for _ in range(100):
-            optimizer.zero_grad()
-            loss().backward()
-            optimizer.step()
-        assert np.allclose(weight.data, target, atol=1e-4)
-
     def test_adam_converges(self):
         weight, target, loss = self._quadratic_problem()
         optimizer = Adam([weight], learning_rate=0.2)
@@ -103,7 +81,7 @@ class TestOptimizers:
 
     def test_zero_grad_clears(self):
         weight, _, loss = self._quadratic_problem()
-        optimizer = SGD([weight], learning_rate=0.1)
+        optimizer = Adam([weight], learning_rate=0.1)
         loss().backward()
         optimizer.zero_grad()
         assert weight.grad is None
@@ -117,9 +95,7 @@ class TestOptimizers:
     def test_rejects_bad_config(self):
         weight = Tensor(np.ones(1), requires_grad=True)
         with pytest.raises(ModelError):
-            SGD([weight], learning_rate=0)
-        with pytest.raises(ModelError):
-            SGD([weight], momentum=1.5)
+            Adam([weight], learning_rate=0)
         with pytest.raises(ModelError):
             Adam([], learning_rate=0.1)
         with pytest.raises(ModelError):

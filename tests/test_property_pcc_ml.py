@@ -62,15 +62,6 @@ class TestAutogradProperties:
         (t * 3.5).sum().backward()
         assert np.allclose(t.grad, 3.5)
 
-    @given(st.lists(st.floats(min_value=0.1, max_value=10.0),
-                    min_size=1, max_size=10))
-    def test_exp_log_inverse(self, values):
-        t = Tensor(np.array(values), requires_grad=True)
-        out = t.log().exp()
-        assert np.allclose(out.data, t.data)
-        out.sum().backward()
-        assert np.allclose(t.grad, 1.0, atol=1e-9)
-
     @given(st.lists(finite_floats, min_size=2, max_size=12))
     def test_softplus_always_positive_and_above_relu(self, values):
         t = Tensor(np.array(values))
@@ -87,7 +78,7 @@ class TestBinMapperProperties:
     @settings(max_examples=50)
     def test_binning_preserves_order(self, values):
         column = np.array(values).reshape(-1, 1)
-        binned = BinMapper(max_bins=16).fit_transform(column)
+        binned = BinMapper().fit_transform(column)
         order = np.argsort(column[:, 0], kind="stable")
         sorted_bins = binned[order, 0].astype(int)
         assert np.all(np.diff(sorted_bins) >= 0)

@@ -90,9 +90,7 @@ class TestGBMProperties:
         features = rng.uniform(0, 10, size=(200, 3))
         targets = np.exp(rng.normal(2, spread, size=200)) + 0.1
         model = GradientBoostingRegressor(
-            BoosterParams(n_estimators=15, max_depth=3),
-            objective="gamma",
-            seed=seed,
+            BoosterParams(n_estimators=15, max_depth=3), seed=seed
         )
         model.fit(features, targets)
         predictions = model.predict(features)
@@ -106,9 +104,7 @@ class TestGBMProperties:
         features = rng.uniform(0, 1, size=(100, 2))
         targets = np.full(100, 7.0)
         model = GradientBoostingRegressor(
-            BoosterParams(n_estimators=20),
-            objective="squared_error",
-            seed=seed,
+            BoosterParams(n_estimators=20), seed=seed
         )
         model.fit(features, targets)
         assert np.allclose(model.predict(features), 7.0, atol=0.1)

@@ -264,6 +264,27 @@ class TestCleanExits:
             ],
         )
 
+    @pytest.mark.parametrize(
+        "module, name",
+        [("repro.ml.nn", "RemovedLayer"), ("repro.ml.removed", "Layer")],
+        ids=["missing-class", "missing-module"],
+    )
+    def test_model_pickle_from_another_version(
+        self, tmp_path, capsys, module, name
+    ):
+        # An object of a class the running code does not define: the
+        # GLOBAL opcode names it, NEWOBJ builds it from an empty tuple.
+        model_path = tmp_path / "model.pkl"
+        model_path.write_bytes(f"c{module}\n{name}\n)\x81.".encode())
+        self.fails_cleanly(
+            capsys,
+            [
+                "score", "--model", str(model_path),
+                "--repo", str(tmp_path / "missing.npz"),
+            ],
+            message="written by another version of repro",
+        )
+
     def test_malformed_trace_file(self, tmp_path, capsys):
         trace = tmp_path / "arrivals.txt"
         trace.write_text("0.0\n12.5\nsoon\n")

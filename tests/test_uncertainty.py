@@ -79,7 +79,7 @@ class TestPinballLoss:
         x = rng.uniform(0, 1, size=(120, 2))
         y = np.exp(x[:, 0]) * rng.lognormal(sigma=0.2, size=120)
         params = BoosterParams(n_estimators=15, max_depth=3)
-        for objective in ("pinball", PinballLoss(0.9)):
+        for objective in (PinballLoss(0.5), PinballLoss(0.9)):
             model = GradientBoostingRegressor(params, objective=objective)
             preds = model.fit(x, y).predict(x)
             assert np.all(preds > 0)
