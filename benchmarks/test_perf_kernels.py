@@ -367,14 +367,24 @@ def test_perf_scoring_path_compiled_vs_reference(train_dataset):
 
 
 def test_perf_cache_hit_build(pipeline_repo, tmp_path):
-    """Warm content-addressed rebuilds must be >=5x faster than cold."""
-    start = time.perf_counter()
-    cold_dataset = build_dataset(pipeline_repo, cache=ArtifactCache(tmp_path))
-    cold_s = time.perf_counter() - start
+    """Warm content-addressed rebuilds must be >=5x faster than cold.
+
+    Both sides are medians: one cold build of about 0.1 s at
+    ``REPRO_BENCH_SCALE=0.2`` swings enough to fail the floor alone.
+    """
+    cold_times = []
+    for run in range(3):
+        cache_dir = tmp_path / f"cold{run}"
+        start = time.perf_counter()
+        cold_dataset = build_dataset(
+            pipeline_repo, cache=ArtifactCache(cache_dir)
+        )
+        cold_times.append(time.perf_counter() - start)
+    cold_s = statistics.median(cold_times)
 
     warm_times = []
     for _ in range(5):
-        cache = ArtifactCache(tmp_path)
+        cache = ArtifactCache(cache_dir)
         start = time.perf_counter()
         warm_dataset = build_dataset(pipeline_repo, cache=cache)
         warm_times.append(time.perf_counter() - start)

@@ -228,22 +228,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         improvement_threshold=args.threshold,
         max_slowdown=args.max_slowdown,
     )
-    config = ServerConfig(
-        workers=args.workers,
-        max_batch_size=args.batch,
-        deadline_s=args.deadline,
-    )
     server = AllocationServer(
         pipeline,
-        config,
+        ServerConfig(deadline_s=args.deadline),
         repository=repository,
         metrics=obs.get_registry() if obs.enabled() else None,
     )
-    print(
-        f"serving {len(records)} jobs through "
-        f"{config.workers} workers (batch <= {config.max_batch_size}) ...",
-        file=sys.stderr,
-    )
+    print(f"serving {len(records)} jobs ...", file=sys.stderr)
     header = (
         f"{'job':<20} {'status':<8} {'requested':>9} {'granted':>8} "
         f"{'latency':>10}"
@@ -590,8 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--model", type=Path, required=True)
     serve.add_argument("--repo", type=Path, required=True)
     serve.add_argument("--limit", type=int, default=50)
-    serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--batch", type=int, default=8)
     serve.add_argument("--deadline", type=float, default=None)
     serve.add_argument("--threshold", type=float, default=0.01)
     serve.add_argument("--max-slowdown", type=float, default=None)

@@ -37,9 +37,9 @@ the CPU likes:
   any precision.
 
 Compilation is **lazy** (first predict) and **invalidated on refit** —
-``fit()`` drops the cached kernel, and a hot-swapped model carries its
-own cache, so ``ModelStore.latest()`` / ``AllocationServer.
-refresh_model()`` keep working unchanged.
+``fit()`` drops the cached kernel, and a model installed by
+``AllocationServer.deploy()`` carries its own cache, so a hot swap
+needs no invalidation.
 
 Kernels are on by default. There are two ways to turn them off:
 
@@ -346,7 +346,7 @@ class FusedMLP:
 
     def __getstate__(self) -> dict:
         # Scratch buffers are per-process ephemera; a pickled model
-        # (ModelStore disk roundtrip, pmap workers) re-warms its own.
+        # (a model file, pmap workers) re-warms its own.
         state = self.__dict__.copy()
         del state["_pools"]
         return state

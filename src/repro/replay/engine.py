@@ -8,10 +8,10 @@ deployment runs continuously (the outer cycle of the paper's Figure 4):
      seeded arrivals        AllocationServer          FleetScheduler
     (per tenant)  ──job──►  recommend tokens  ──demand──►  admit/grant
          ▲                      │    ▲                        │
-         │                      │    │ refresh_model()        ▼
+         │                      │    │ deploy(model)          ▼
          │               PredictionMonitor ◄──observe──  ClusterExecutor
          │                      │        (actual run time at the grant)
-         └── retrain hook ◄─────┘  (optional: refit + hot-swap + reset)
+         └── retrain hook ◄─────┘  (optional: refit + deploy + reset)
 
 Determinism contract: every random choice (arrival gaps, generated
 plans, execution noise) comes from a substream derived from the replay
@@ -62,7 +62,6 @@ from repro.scope.stages import decompose_stages
 from repro.serving import AllocationServer, ServerConfig
 from repro.serving.server import ResponseStatus, ServeResponse
 from repro.tasq import ScoringPipeline
-from repro.tasq.model_store import ModelStore
 from repro.tasq.monitoring import PredictionMonitor
 from repro.tasq.pipeline import fit_serving_model
 
@@ -70,8 +69,6 @@ __all__ = ["REPLAY_POLICIES", "ReplayConfig", "ReplayEngine", "run_replay"]
 
 #: Baseline regimes plus the global allocator.
 REPLAY_POLICIES = ("default", "peak", "tasq", "water_filling")
-
-_MODEL_NAME = "replay-pl"
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ class ReplayConfig:
     #: versus its request.
     slowdown_floor: float = 0.25
     admission: str = "fcfs"
-    #: Refit + hot-swap the model when the drift monitor fires.
+    #: Refit + deploy the model when the drift monitor fires.
     retrain: bool = False
     #: Risk level for recommendations and SLO floors (None = point
     #: estimates; see ``docs/uncertainty.md``). Enables quantile heads
@@ -196,8 +193,6 @@ class ReplayEngine:
                 workers=cfg.workers,
             )
             model = self._fit_model(repository, cfg.seed)
-            store = ModelStore()
-            store.register(_MODEL_NAME, model, {"bootstrap": True})
             monitor = PredictionMonitor(
                 window=cfg.drift_window,
                 error_threshold=cfg.drift_threshold,
@@ -216,8 +211,6 @@ class ReplayEngine:
                     max_batch_size=1,
                     breaker_failure_threshold=10**9,
                 ),
-                store=store,
-                model_name=_MODEL_NAME,
                 repository=repository,
                 monitor=monitor,
                 # Under tracing the server records into the shared
@@ -450,7 +443,7 @@ class ReplayEngine:
         history: JobRepository,
         executions: dict[str, TelemetryRecord],
     ) -> None:
-        """Refit on bootstrap + replayed telemetry; register, swap, reset."""
+        """Refit on bootstrap + replayed telemetry; deploy, reset."""
         self._retrain_count += 1
         with trace.span(
             "replay.retrain", round=self._retrain_count,
@@ -464,11 +457,7 @@ class ReplayEngine:
             model = self._fit_model(
                 merged, self.config.seed + self._retrain_count
             )
-            assert server._store is not None
-            server._store.register(
-                _MODEL_NAME, model, {"retrain": self._retrain_count}
-            )
-            server.refresh_model()
+            server.deploy(model)
             server.monitor.reset()
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ endpoint that answers every incoming job's "how many tokens?" at
 compile time — as an in-process system: a bounded queue and worker
 pool with micro-batching (:mod:`~repro.serving.server`), signature-keyed
 recommendation/feature caches (:mod:`~repro.serving.cache`), a circuit
-breaker (:mod:`~repro.serving.admission`) and degraded-mode fallbacks
+breaker (:mod:`~repro.serving.admission`) and a degraded-mode fallback
 (:mod:`~repro.serving.fallback`). Metrics go to a
 :class:`repro.obs.metrics.MetricsRegistry`.
 """
@@ -13,9 +13,7 @@ breaker (:mod:`~repro.serving.admission`) and degraded-mode fallbacks
 from repro.serving.admission import BreakerState, CircuitBreaker
 from repro.serving.cache import FeatureCache, LRUCache, RecommendationCache
 from repro.serving.fallback import (
-    FallbackPolicy,
     HistoricalMedianFallback,
-    PassthroughFallback,
     degraded_recommendation,
 )
 from repro.serving.server import (
@@ -37,8 +35,6 @@ __all__ = [
     "LRUCache",
     "RecommendationCache",
     "FeatureCache",
-    "FallbackPolicy",
-    "PassthroughFallback",
     "HistoricalMedianFallback",
     "degraded_recommendation",
     "ServerConfig",

@@ -26,6 +26,11 @@ from repro.exceptions import ServingError
 
 __all__ = ["BreakerState", "CircuitBreaker"]
 
+#: Seconds an open breaker waits before it lets probes through.
+RECOVERY_S = 5.0
+#: Consecutive successful probes that close a half-open breaker.
+HALF_OPEN_PROBES = 2
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -38,29 +43,21 @@ class CircuitBreaker:
 
     * **closed** — traffic flows; ``failure_threshold`` consecutive
       failures trip the breaker.
-    * **open** — ``allow()`` is False; after ``recovery_time`` seconds
+    * **open** — ``allow()`` is False; after :data:`RECOVERY_S` seconds
       the breaker moves to half-open.
-    * **half-open** — up to ``half_open_probes`` calls are let through;
-      a failure re-opens (restarting the recovery clock), while
-      ``half_open_probes`` consecutive successes close the breaker.
+    * **half-open** — up to :data:`HALF_OPEN_PROBES` calls are let
+      through; a failure re-opens (restarting the recovery clock), while
+      :data:`HALF_OPEN_PROBES` consecutive successes close the breaker.
     """
 
     def __init__(
         self,
         failure_threshold: int = 5,
-        recovery_time: float = 30.0,
-        half_open_probes: int = 2,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise ServingError("failure threshold must be at least 1")
-        if recovery_time <= 0:
-            raise ServingError("recovery time must be positive")
-        if half_open_probes < 1:
-            raise ServingError("need at least one half-open probe")
         self.failure_threshold = failure_threshold
-        self.recovery_time = recovery_time
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._lock = threading.RLock()
         self._state = BreakerState.CLOSED
@@ -87,7 +84,7 @@ class CircuitBreaker:
         if (
             self._state is BreakerState.OPEN
             and self._opened_at is not None
-            and self._clock() - self._opened_at >= self.recovery_time
+            and self._clock() - self._opened_at >= RECOVERY_S
         ):
             self._state = BreakerState.HALF_OPEN
             self._probes_in_flight = 0
@@ -97,7 +94,7 @@ class CircuitBreaker:
         """May a scoring call proceed right now?
 
         In half-open state this *reserves* a probe slot, so at most
-        ``half_open_probes`` calls hit the model concurrently while it
+        :data:`HALF_OPEN_PROBES` calls hit the model concurrently while it
         is being felt out.
         """
         with self._lock:
@@ -105,7 +102,7 @@ class CircuitBreaker:
             if self._state is BreakerState.CLOSED:
                 return True
             if self._state is BreakerState.HALF_OPEN:
-                if self._probes_in_flight < self.half_open_probes:
+                if self._probes_in_flight < HALF_OPEN_PROBES:
                     self._probes_in_flight += 1
                     return True
                 return False
@@ -116,7 +113,7 @@ class CircuitBreaker:
             self._maybe_half_open()
             if self._state is BreakerState.HALF_OPEN:
                 self._probe_successes += 1
-                if self._probe_successes >= self.half_open_probes:
+                if self._probe_successes >= HALF_OPEN_PROBES:
                     self._state = BreakerState.CLOSED
                     self._consecutive_failures = 0
                     self._opened_at = None
@@ -143,12 +140,3 @@ class CircuitBreaker:
         self._probes_in_flight = 0
         self._probe_successes = 0
         self._trip_count += 1
-
-    def reset(self) -> None:
-        """Force-close (e.g. after redeploying a fixed model)."""
-        with self._lock:
-            self._state = BreakerState.CLOSED
-            self._consecutive_failures = 0
-            self._opened_at = None
-            self._probes_in_flight = 0
-            self._probe_successes = 0

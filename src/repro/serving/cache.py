@@ -131,9 +131,9 @@ class LRUCache:
 class RecommendationCache:
     """Model answers, per model version.
 
-    ``version`` is the model version that computed an answer (None for a
-    server without a model store), so a lookup never returns another
-    version's answer.
+    ``version`` is the model version that computed an answer
+    (:attr:`~repro.serving.server.AllocationServer.model_version`), so a
+    lookup never returns another version's answer.
 
     A recommendation is keyed on (plan signature, requested tokens,
     version) and answers every instance of the signature. A plan whose

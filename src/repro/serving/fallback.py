@@ -3,15 +3,13 @@
 *Runtime Variation in Big Data Analytics* (PAPERS.md) argues allocation
 systems need graceful degradation when predictions are unreliable; the
 production TASQ deployment likewise never blocks a SCOPE job on a model
-outage — it falls back to the user's request. Two policies:
-
-* :class:`PassthroughFallback` — echo the requested allocation. Always
-  safe: the job runs exactly as it would without TASQ.
-* :class:`HistoricalMedianFallback` — AutoToken-style per-signature
-  history: recurring pipelines are allocated their historical median
-  *peak* usage (capped at the request), since past peaks of the same
-  structure are an excellent predictor of future need. Unseen
-  signatures (ad-hoc jobs) defer to passthrough.
+outage. :class:`HistoricalMedianFallback` answers AutoToken-style from
+per-signature history: recurring pipelines are allocated their
+historical median *peak* usage (capped at the request), since past peaks
+of the same structure are an excellent predictor of future need. A
+signature the history lacks (ad-hoc jobs), or a server without a
+repository, gets the requested allocation back: the job runs exactly as
+it would without TASQ.
 
 Fallback recommendations carry a degenerate flat PCC (zero exponent at
 the observed/assumed run time) so downstream consumers that inspect the
@@ -28,8 +26,6 @@ accounting (see ``docs/uncertainty.md``).
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
 
 from repro.pcc.curve import PowerLawPCC
@@ -38,12 +34,7 @@ from repro.scope.repository import JobRepository
 from repro.scope.signatures import plan_signature
 from repro.tasq.pipeline import TokenRecommendation
 
-__all__ = [
-    "FallbackPolicy",
-    "PassthroughFallback",
-    "HistoricalMedianFallback",
-    "degraded_recommendation",
-]
+__all__ = ["HistoricalMedianFallback", "degraded_recommendation"]
 
 
 def degraded_recommendation(
@@ -64,43 +55,19 @@ def degraded_recommendation(
     )
 
 
-class FallbackPolicy(Protocol):
-    """Anything that can answer when the scoring path cannot."""
-
-    def recommend(
-        self, plan: QueryPlan, requested_tokens: int
-    ) -> TokenRecommendation: ...
-
-
-class PassthroughFallback:
-    """Echo the requested allocation (the do-no-harm default)."""
-
-    def recommend(
-        self, plan: QueryPlan, requested_tokens: int
-    ) -> TokenRecommendation:
-        return degraded_recommendation(plan, requested_tokens, requested_tokens)
-
-
 class HistoricalMedianFallback:
     """Per-signature historical median peak usage, passthrough otherwise.
 
     The signature→median table is precomputed from the repository at
     construction (an O(history) scan), so ``recommend`` is a dictionary
-    lookup on the hot path. Call :meth:`refresh` after the repository
-    grows materially.
+    lookup on the hot path. Without a repository the table is empty and
+    every request passes through.
     """
 
-    def __init__(self, repository: JobRepository) -> None:
-        self._repository = repository
-        self._passthrough = PassthroughFallback()
-        self._median_peak: dict[str, int] = {}
-        self._median_runtime: dict[str, float] = {}
-        self.refresh()
-
-    def refresh(self) -> None:
+    def __init__(self, repository: JobRepository | None) -> None:
         peaks: dict[str, list[float]] = {}
         runtimes: dict[str, list[float]] = {}
-        for record in self._repository:
+        for record in () if repository is None else repository:
             signature = plan_signature(record.plan)
             peaks.setdefault(signature, []).append(float(record.peak_tokens))
             runtimes.setdefault(signature, []).append(float(record.runtime))
@@ -112,20 +79,14 @@ class HistoricalMedianFallback:
             sig: float(np.median(values)) for sig, values in runtimes.items()
         }
 
-    @property
-    def known_signatures(self) -> int:
-        return len(self._median_peak)
-
     def recommend(
-        self, plan: QueryPlan, requested_tokens: int
+        self, plan: QueryPlan, requested_tokens: int, signature: str
     ) -> TokenRecommendation:
-        signature = plan_signature(plan)
-        median_peak = self._median_peak.get(signature)
-        if median_peak is None:
-            return self._passthrough.recommend(plan, requested_tokens)
+        """The degraded answer for ``plan``, whose ``plan_signature`` the
+        caller has computed already."""
         return degraded_recommendation(
             plan,
             requested_tokens,
-            median_peak,
+            self._median_peak.get(signature, requested_tokens),
             assumed_runtime=self._median_runtime.get(signature, 1.0),
         )

@@ -40,10 +40,10 @@ in-process concurrent system:
 * **feedback** — completed-job outcomes flow into a
   :class:`~repro.tasq.monitoring.PredictionMonitor` whose rolling error
   and retraining signal are exported in the metrics snapshot.
-* **hot swap** — when constructed over a :class:`ModelStore`, workers
-  poll :meth:`~repro.tasq.model_store.ModelStore.latest` and switch to
-  newly registered model versions without a restart. Cached answers are
-  keyed on the version that computed them, so none outlives its model.
+* **hot swap** — :meth:`AllocationServer.deploy` installs a retrained
+  model without a restart and bumps the served version. Cached answers
+  are keyed on the version that computed them, so none outlives its
+  model.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.exceptions import ReproError, ServingError
+from repro.models.base import PCCPredictor
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.scope.plan import QueryPlan
@@ -66,12 +67,7 @@ from repro.scope.repository import JobRepository
 from repro.scope.signatures import plan_signature
 from repro.serving.admission import BreakerState, CircuitBreaker
 from repro.serving.cache import FeatureCache, RecommendationCache
-from repro.serving.fallback import (
-    FallbackPolicy,
-    HistoricalMedianFallback,
-    PassthroughFallback,
-)
-from repro.tasq.model_store import ModelStore
+from repro.serving.fallback import HistoricalMedianFallback
 from repro.tasq.monitoring import PredictionMonitor
 from repro.tasq.pipeline import ScoringPipeline, TokenRecommendation
 
@@ -83,6 +79,14 @@ __all__ = [
     "AllocationServer",
 ]
 
+#: Bound of the request queue; a full queue sheds new submissions.
+MAX_QUEUE = 128
+#: Capacity of each serving cache (recommendations, features).
+CACHE_SIZE = 2048
+#: Seconds ``stop()`` waits for each worker before it answers the
+#: worker's unfinished batch itself.
+_JOIN_TIMEOUT_S = 5.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -90,8 +94,6 @@ class ServerConfig:
 
     #: Worker threads pulling from the request queue.
     workers: int = 2
-    #: Bound of the request queue; a full queue sheds new submissions.
-    max_queue: int = 128
     #: Largest micro-batch handed to one ``score_batch`` call.
     max_batch_size: int = 8
     #: Per-request deadline (submit → scored); expired requests get the
@@ -99,21 +101,10 @@ class ServerConfig:
     deadline_s: float | None = None
     #: Consecutive scoring failures that trip the circuit breaker.
     breaker_failure_threshold: int = 5
-    #: Seconds the breaker stays open before probing the model again.
-    breaker_recovery_s: float = 5.0
-    #: Consecutive successful probes needed to close the breaker.
-    breaker_half_open_probes: int = 2
-    #: Capacities of the two serving caches.
-    recommendation_cache_size: int = 2048
-    feature_cache_size: int = 2048
-    #: How often idle workers poll the model store for a newer version.
-    model_refresh_interval_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServingError("need at least one worker")
-        if self.max_queue < 1:
-            raise ServingError("queue bound must be at least 1")
         if self.max_batch_size < 1:
             raise ServingError("max batch size must be at least 1")
         deadline = self.deadline_s
@@ -152,14 +143,27 @@ class ServeResponse:
 
 
 class ServeFuture:
-    """Handle to an in-flight request; ``result()`` blocks for the answer."""
+    """Handle to an in-flight request; ``result()`` blocks for the answer.
+
+    The first answer is final: when ``stop()`` has answered the batch of
+    a worker that did not return, that worker's late answer is dropped.
+    """
 
     def __init__(self) -> None:
         self._event = threading.Event()
+        self._lock = threading.Lock()
         self._response: ServeResponse | None = None
 
-    def _resolve(self, response: ServeResponse) -> None:
-        self._response = response
+    def _resolve(
+        self, response: ServeResponse, account: Callable[[], None]
+    ) -> None:
+        """Keep ``response`` if it is the first answer; then run
+        ``account`` (the server's metrics) before waking the waiters."""
+        with self._lock:
+            if self._response is not None:
+                return
+            self._response = response
+        account()
         self._event.set()
 
     def done(self) -> bool:
@@ -195,10 +199,8 @@ class AllocationServer:
         recommendation per row, or ``None`` for a row whose predicted
         PCC has no optimum. Each micro-batch makes exactly one call.
         Cached features carry graph samples only when the pipeline's
-        ``reads_graph`` is true (a pipeline without one reads none).
-    store, model_name:
-        Optional :class:`ModelStore` to hot-swap from: workers poll
-        ``store.latest(model_name)`` and adopt newer versions live.
+        ``reads_graph`` is true (a pipeline without one reads none). Its
+        ``model`` is version 1; :meth:`deploy` replaces it.
     repository:
         Optional job history; enables the per-signature historical
         median fallback (otherwise requested tokens pass through).
@@ -214,45 +216,32 @@ class AllocationServer:
         pipeline: ScoringPipeline,
         config: ServerConfig | None = None,
         *,
-        store: ModelStore | None = None,
-        model_name: str | None = None,
         repository: JobRepository | None = None,
         monitor: PredictionMonitor | None = None,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if store is not None and model_name is None:
-            raise ServingError("hot-swapping from a store needs a model name")
         self.config = config or ServerConfig()
         self._pipeline = pipeline
-        self._store = store
-        self._model_name = model_name
-        self._model_version: int | None = None
-        self._last_model_check = 0.0
+        self._model_version = 1
         self._clock = clock
         self.monitor = monitor or PredictionMonitor()
         self.metrics = metrics or MetricsRegistry()
-        self.fallback: FallbackPolicy = (
-            HistoricalMedianFallback(repository)
-            if repository is not None
-            else PassthroughFallback()
-        )
+        self.fallback = HistoricalMedianFallback(repository)
 
-        self.recommendation_cache = RecommendationCache(
-            self.config.recommendation_cache_size
-        )
-        self.feature_cache = FeatureCache(self.config.feature_cache_size)
+        self.recommendation_cache = RecommendationCache(CACHE_SIZE)
+        self.feature_cache = FeatureCache(CACHE_SIZE)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
-            recovery_time=self.config.breaker_recovery_s,
-            half_open_probes=self.config.breaker_half_open_probes,
             clock=clock,
         )
 
         self._queue: queue_module.Queue[_Pending] = queue_module.Queue(
-            maxsize=self.config.max_queue
+            maxsize=MAX_QUEUE
         )
         self._workers: list[threading.Thread] = []
+        # Each running worker's batch, so stop() can answer it.
+        self._in_flight: dict[threading.Thread, list[_Pending]] = {}
         self._stop = threading.Event()
         self._running = False
         self._swap_lock = threading.Lock()
@@ -265,7 +254,6 @@ class AllocationServer:
         if self._running:
             raise ServingError("server is already running")
         self._stop.clear()
-        self._maybe_refresh_model(force=True)
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"alloc-worker-{i}", daemon=True
@@ -283,7 +271,13 @@ class AllocationServer:
         self._running = False
         self._stop.set()
         for worker in self._workers:
-            worker.join(timeout=5.0)
+            worker.join(timeout=_JOIN_TIMEOUT_S)
+        # A worker still alive is stuck in its batch; its late answers
+        # are dropped (see ServeFuture), so answer the batch here.
+        for worker in self._workers:
+            if worker.is_alive():
+                for pending in self._in_flight.get(worker, ()):
+                    self._reject(pending, "shutdown")
         self._workers = []
         # Anything still queued will never be scored; answer explicitly.
         while True:
@@ -414,11 +408,11 @@ class AllocationServer:
     # worker side
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
+        me = threading.current_thread()
         while not self._stop.is_set():
             try:
                 first = self._queue.get(timeout=0.05)
             except queue_module.Empty:
-                self._maybe_refresh_model()
                 continue
             # Work-conserving: take only what is already queued. Holding a
             # lone request for a batch-mate adds idle wait to its latency;
@@ -429,13 +423,14 @@ class AllocationServer:
                     batch.append(self._queue.get_nowait())
                 except queue_module.Empty:
                     break
-            self._maybe_refresh_model()
+            self._in_flight[me] = batch
             try:
                 self._process_batch(batch)
             except Exception:
                 # A worker that dies leaves every later request waiting
                 # in the queue, so no failure of one batch may end it.
                 self._contain_worker_error(batch)
+            del self._in_flight[me]
 
     def _contain_worker_error(self, batch: list[_Pending]) -> None:
         """Answer the unresolved requests of a batch whose processing raised."""
@@ -532,7 +527,7 @@ class AllocationServer:
         self,
         pending: _Pending,
         recommendation: TokenRecommendation,
-        version: int | None,
+        version: int,
     ) -> None:
         self.recommendation_cache.put(
             pending.signature, pending.requested_tokens, recommendation,
@@ -546,7 +541,9 @@ class AllocationServer:
     def _fallback(self, pending: _Pending, reason: str) -> None:
         self._finish(
             pending.future, pending.plan.job_id, ResponseStatus.FALLBACK,
-            self.fallback.recommend(pending.plan, pending.requested_tokens),
+            self.fallback.recommend(
+                pending.plan, pending.requested_tokens, pending.signature
+            ),
             reason, pending.submitted_at,
         )
 
@@ -566,8 +563,11 @@ class AllocationServer:
         submitted_at: float,
     ) -> None:
         latency = max(0.0, self._clock() - submitted_at)
-        self.metrics.counter(f"responses_{status.value}").increment()
-        self.metrics.histogram("latency_s").record(latency)
+
+        def account() -> None:
+            self.metrics.counter(f"responses_{status.value}").increment()
+            self.metrics.histogram("latency_s").record(latency)
+
         future._resolve(
             ServeResponse(
                 job_id=job_id,
@@ -575,54 +575,33 @@ class AllocationServer:
                 recommendation=recommendation,
                 reason=reason,
                 latency_s=latency,
-            )
+            ),
+            account,
         )
 
     # ------------------------------------------------------------------
     # model hot-swap + metrics wiring
     # ------------------------------------------------------------------
-    def _maybe_refresh_model(self, force: bool = False) -> None:
-        if self._store is None:
-            return
-        now = self._clock()
-        if (
-            not force
-            and now - self._last_model_check
-            < self.config.model_refresh_interval_s
-        ):
-            return
-        with self._swap_lock:
-            self._last_model_check = now
-            try:
-                record = self._store.latest(self._model_name)
-            except ReproError:
-                return  # nothing registered yet; keep the current model
-            if record.version != self._model_version:
-                # Swapping the whole model object also swaps its lazily
-                # compiled inference kernels (repro.ml.compiled caches
-                # ride on the model), so no explicit invalidation is
-                # needed here — the new model compiles on first batch.
-                # The version changes after the model (see
-                # _process_batch_inner); the old version's cached
-                # answers are never looked up again and age out.
-                self._pipeline.model = record.model
-                self._model_version = record.version
-                self.metrics.counter("model_swaps").increment()
+    def deploy(self, model: PCCPredictor) -> int:
+        """Serve ``model`` from the next batch on; returns its version.
 
-    def refresh_model(self) -> int | None:
-        """Poll the model store *now* and adopt the newest version.
-
-        Workers refresh opportunistically on a wall-clock interval; a
-        caller that just registered a retrained model (e.g. the replay
-        harness's virtual-time retraining hook) calls this to make the
-        swap immediate — and therefore deterministic.
+        Swapping the model object also swaps its lazily compiled
+        inference kernels (``repro.ml.compiled`` caches ride on the
+        model), so the new model compiles on its first batch. The
+        version changes after the model (see ``_process_batch_inner``);
+        the old version's cached answers are never looked up again and
+        age out.
         """
-        self._maybe_refresh_model(force=True)
-        return self._model_version
+        with self._swap_lock:
+            self._pipeline.model = model
+            self._model_version += 1
+            self.metrics.counter("model_swaps").increment()
+            return self._model_version
 
     @property
-    def model_version(self) -> int | None:
-        """Version of the store model currently deployed (None = static)."""
+    def model_version(self) -> int:
+        """Version of the served model: 1 for the pipeline's own model,
+        one more per :meth:`deploy`."""
         return self._model_version
 
     def _register_gauges(self) -> None:

@@ -1,22 +1,19 @@
 """Model registry (the AML model store of Figure 4).
 
-An in-process registry of fitted models with metadata and optional
-pickle-backed persistence, standing in for the Azure ML model store +
-AKS deployment plumbing of the production system.
+An in-process, versioned registry of fitted models with metadata,
+standing in for the Azure ML model store of the production system.
+:class:`~repro.tasq.pipeline.TrainingPipeline` registers every model it
+fits here. Deploying a model to the serving endpoint is a separate step,
+:meth:`~repro.serving.server.AllocationServer.deploy`.
 
-The store is thread-safe: the serving layer reads models from worker
-threads while a training pipeline may concurrently register a newer
-version, and :meth:`ModelStore.latest` lets a long-running
-:class:`~repro.serving.server.AllocationServer` hot-swap to the newest
-deployment without restarting.
+The store is thread-safe: registration and lookup may race freely
+across threads.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.exceptions import PipelineError
 from repro.models.base import PCCPredictor
@@ -37,19 +34,14 @@ class ModelRecord:
 class ModelStore:
     """Versioned, thread-safe in-memory model registry.
 
-    Optionally persists records to disk (``root``). All mutating and
-    reading operations hold one re-entrant lock; registration and lookup
-    may therefore race freely across threads, with lookups always seeing
-    a consistent version list.
+    All mutating and reading operations hold one re-entrant lock;
+    registration and lookup may therefore race freely across threads,
+    with lookups always seeing a consistent version list.
     """
 
-    def __init__(self, root: Path | str | None = None) -> None:
+    def __init__(self) -> None:
         self._records: dict[str, list[ModelRecord]] = {}
         self._lock = threading.RLock()
-        self._last_registered: ModelRecord | None = None
-        self._root = Path(root) if root is not None else None
-        if self._root is not None:
-            self._root.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     def register(
@@ -65,11 +57,6 @@ class ModelStore:
                 metadata=dict(metadata or {}),
             )
             versions.append(record)
-            self._last_registered = record
-        if self._root is not None:
-            path = self._root / f"{name}-v{record.version}.pkl"
-            with open(path, "wb") as handle:
-                pickle.dump(record, handle)
         return record
 
     def get(self, name: str, version: int | None = None) -> ModelRecord:
@@ -85,20 +72,6 @@ class ModelStore:
                     return record
             raise PipelineError(f"model {name!r} has no version {version}")
 
-    def latest(self, name: str | None = None) -> ModelRecord:
-        """Newest version of ``name``, or the most recently registered
-        record across all names when ``name`` is omitted.
-
-        This is the hot-swap hook: a serving worker polls ``latest`` and
-        switches models whenever the returned version advances.
-        """
-        with self._lock:
-            if name is not None:
-                return self.get(name)
-            if self._last_registered is None:
-                raise PipelineError("the model store is empty")
-            return self._last_registered
-
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._records)
@@ -106,18 +79,3 @@ class ModelStore:
     def __contains__(self, name: str) -> bool:
         with self._lock:
             return name in self._records
-
-    # ------------------------------------------------------------------
-    def load_from_disk(self, name: str, version: int) -> ModelRecord:
-        """Load a previously persisted model record."""
-        if self._root is None:
-            raise PipelineError("this store has no persistence root")
-        path = self._root / f"{name}-v{version}.pkl"
-        if not path.exists():
-            raise PipelineError(f"no persisted model at {path}")
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
-        with self._lock:
-            self._records.setdefault(name, []).append(record)
-            self._last_registered = record
-        return record

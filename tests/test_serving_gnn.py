@@ -18,7 +18,7 @@ from repro.models import GNNPCCModel, PCCDataset, TrainConfig, XGBoostPL
 from repro.pcc.optimal import optimal_tokens
 from repro.scope.signatures import plan_signature
 from repro.serving import AllocationServer, ResponseStatus, ServerConfig
-from repro.tasq import ModelStore, ScoringPipeline
+from repro.tasq import ScoringPipeline
 
 
 @pytest.fixture(scope="module")
@@ -135,17 +135,13 @@ class TestServer:
 
     def test_swap_to_the_gnn_serves_it_graphs(self, pl_model, gnn, requests):
         (plan, tokens), *_ = requests
-        store = ModelStore()
-        store.register("served", pl_model)
         expected = ScoringPipeline(gnn).score(plan, tokens)
         with AllocationServer(
-            ScoringPipeline(pl_model), ServerConfig(workers=1),
-            store=store, model_name="served",
+            ScoringPipeline(pl_model), ServerConfig(workers=1)
         ) as server:
             server.request(plan, tokens)
             assert _cached_features(server, plan, False).graph is None
-            store.register("served", gnn)
-            assert server.refresh_model() == 2
+            assert server.deploy(gnn) == 2
             after = server.request(plan, tokens)
             entry = _cached_features(server, plan, True)
         assert after.status is ResponseStatus.OK

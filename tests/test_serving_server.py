@@ -21,13 +21,15 @@ from repro.serving import (
     AllocationServer,
     BreakerState,
     HistoricalMedianFallback,
-    PassthroughFallback,
     ResponseStatus,
     ServerConfig,
     build_server,
 )
+from repro.serving import fallback as fallback_module
 from repro.serving import server as server_module
-from repro.tasq import ModelStore, ScoringPipeline, TokenRecommendation
+from repro.serving.admission import HALF_OPEN_PROBES, RECOVERY_S
+from repro.serving.server import MAX_QUEUE
+from repro.tasq import ScoringPipeline, TokenRecommendation
 
 
 def _recommend(plan, tokens, a=-0.8, b=500.0):
@@ -141,6 +143,16 @@ def behind_blocker(server, pipeline, requests):
     return [future.result(timeout=5.0) for future in [blocker, *queued]]
 
 
+class FakeClock:
+    """A clock that moves only when a test advances it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
 def wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -201,7 +213,7 @@ class TestLifecycle:
     def test_stop_rejects_queued_requests(self, plans):
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
-        config = ServerConfig(workers=1, max_queue=8, max_batch_size=1)
+        config = ServerConfig(workers=1, max_batch_size=1)
         server = AllocationServer(pipeline, config).start()
         first = server.submit(plans[0], 10)
         assert wait_until(lambda: len(pipeline.calls) >= 1)
@@ -212,6 +224,29 @@ class TestLifecycle:
         response = stuck.result(timeout=1.0)
         # either the worker drained it before exiting, or stop() rejected it
         assert response.status in (ResponseStatus.OK, ResponseStatus.REJECTED)
+
+    def test_stop_answers_a_stalled_workers_batch(self, plans):
+        """A worker that never returns from its batch does not leave the
+        batch unanswered; its late answer changes nothing."""
+        gate = threading.Event()
+        pipeline = StubPipeline(gate=gate)
+        server = AllocationServer(pipeline, ServerConfig(workers=1)).start()
+        (worker,) = server._workers
+        stalled = server.submit(plans[0], 10)
+        assert wait_until(lambda: len(pipeline.calls) == 1)
+        server.stop()  # waits out one join timeout
+        answered = stalled.result(timeout=0)
+        gate.set()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert (answered.status, answered.reason) == (
+            ResponseStatus.REJECTED, "shutdown"
+        )
+        assert stalled.result(timeout=0) is answered
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["responses_rejected"] == counters["requests_total"]
+        assert counters["requests_total"] == 1
+        assert "responses_ok" not in counters
 
 
 class TestScoringPaths:
@@ -254,7 +289,7 @@ class TestScoringPaths:
     def test_batch_respects_max_size(self, plans):
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
-        config = ServerConfig(workers=1, max_batch_size=3, max_queue=32)
+        config = ServerConfig(workers=1, max_batch_size=3)
         with AllocationServer(pipeline, config) as server:
             blocker = server.submit(plans[0], 10)
             assert wait_until(lambda: len(pipeline.calls) == 1)
@@ -310,12 +345,15 @@ class TestAdmission:
     def test_queue_full_sheds_with_backpressure(self, plans):
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
-        config = ServerConfig(workers=1, max_queue=2, max_batch_size=1)
+        config = ServerConfig(workers=1, max_batch_size=1)
         with AllocationServer(pipeline, config) as server:
             blocker = server.submit(plans[0], 10)
             assert wait_until(lambda: len(pipeline.calls) == 1)
-            fits = [server.submit(plans[i], 10) for i in range(1, 3)]
-            shed = server.submit(plans[3], 10)
+            fits = [
+                server.submit(plans[i % len(plans)], 10)
+                for i in range(1, MAX_QUEUE + 1)
+            ]
+            shed = server.submit(plans[1], 10)
             assert shed.done()  # rejected synchronously, no queue wait
             response = shed.result(timeout=1.0)
             assert response.status is ResponseStatus.REJECTED
@@ -330,23 +368,26 @@ class TestAdmission:
 
 class TestConcurrentClients:
     def test_every_request_resolves_with_a_typed_status(self, plans):
-        """Four client threads, 100 requests, two workers: none hangs.
+        """Four client threads, two rounds of 160 requests, two workers:
+        none hangs.
 
-        A small queue sheds some requests, the first scoring calls
-        raise, and repeated (plan, tokens) pairs hit the cache, so the
-        answers mix statuses; the counters must account for each one.
+        In the first round both workers are held on their first batch,
+        so the queue fills and sheds; once released, the first two
+        scoring calls raise. The second round repeats the first round's
+        (plan, tokens) pairs, which hit the cache. The answers mix
+        statuses; the counters must account for each one.
         """
         futures = []
         lock = threading.Lock()
+        per_round, batch = 160, 4
 
         def client(server, first):
-            for i in range(first, 100, 4):
+            for i in range(first, per_round, 4):
                 future = server.submit(plans[i % 20], 10 + i % 3)
                 with lock:
                     futures.append(future)
 
-        config = ServerConfig(workers=2, max_queue=16, max_batch_size=4)
-        with AllocationServer(StubPipeline(fail_times=2), config) as server:
+        def send_round(server):
             clients = [
                 threading.Thread(target=client, args=(server, k))
                 for k in range(4)
@@ -355,16 +396,32 @@ class TestConcurrentClients:
                 thread.start()
             for thread in clients:
                 thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in clients)
+
+        gate = threading.Event()
+        pipeline = StubPipeline(fail_times=2, gate=gate)
+        config = ServerConfig(workers=2, max_batch_size=batch)
+        with AllocationServer(pipeline, config) as server:
+            send_round(server)
+            gate.set()
+            for future in list(futures):
+                future.result(timeout=5.0)
+            send_round(server)
             responses = [future.result(timeout=5.0) for future in futures]
-        assert not any(thread.is_alive() for thread in clients)
-        assert len(responses) == 100
+        assert len(responses) == 2 * per_round
         assert all(isinstance(r.status, ResponseStatus) for r in responses)
+        # the held workers took at most one batch each off the queue
+        shed = [r for r in responses if r.reason == "queue_full"]
+        assert len(shed) >= per_round - MAX_QUEUE - 2 * batch
+        assert any(r.status is ResponseStatus.CACHED for r in responses)
         counters = server.metrics.snapshot()["counters"]
         answered = {
             status: counters.get(f"responses_{status.value}", 0)
             for status in ResponseStatus
         }
-        assert sum(answered.values()) == counters["requests_total"] == 100
+        assert sum(answered.values()) == counters["requests_total"] == len(
+            responses
+        )
         assert answered == {
             status: sum(r.status is status for r in responses)
             for status in ResponseStatus
@@ -376,12 +433,10 @@ class TestFailureContainment:
         """Forced model failures must never surface as exceptions."""
         pipeline = StubPipeline(fail_times=1000)
         config = ServerConfig(
-            workers=1,
-            breaker_failure_threshold=3,
-            breaker_recovery_s=60.0,
-            max_batch_size=1,
+            workers=1, breaker_failure_threshold=3, max_batch_size=1
         )
-        with AllocationServer(pipeline, config) as server:
+        # a clock that stands still keeps the breaker open
+        with AllocationServer(pipeline, config, clock=FakeClock()) as server:
             responses = [server.request(plans[i], 10) for i in range(6)]
             assert server.breaker.state is BreakerState.OPEN
         assert all(r.status is ResponseStatus.FALLBACK for r in responses)
@@ -395,8 +450,8 @@ class TestFailureContainment:
 
     def test_cache_still_answers_while_breaker_open(self, plans):
         pipeline = StubPipeline()
-        config = ServerConfig(workers=1, breaker_recovery_s=60.0)
-        with AllocationServer(pipeline, config) as server:
+        config = ServerConfig(workers=1)
+        with AllocationServer(pipeline, config, clock=FakeClock()) as server:
             cached = server.request(plans[0], 10)
             assert cached.status is ResponseStatus.OK
             for _ in range(5):
@@ -410,22 +465,20 @@ class TestFailureContainment:
     def test_breaker_recovers_through_half_open(self, plans):
         pipeline = StubPipeline(fail_times=3)
         config = ServerConfig(
-            workers=1,
-            breaker_failure_threshold=3,
-            breaker_recovery_s=0.05,
-            breaker_half_open_probes=1,
-            max_batch_size=1,
+            workers=1, breaker_failure_threshold=3, max_batch_size=1
         )
-        with AllocationServer(pipeline, config) as server:
+        clock = FakeClock()
+        with AllocationServer(pipeline, config, clock=clock) as server:
             for i in range(3):
                 assert (
                     server.request(plans[i], 10).status
                     is ResponseStatus.FALLBACK
                 )
             assert server.breaker.state is BreakerState.OPEN
-            time.sleep(0.08)  # recovery window elapses → half-open probe
-            probe = server.request(plans[3], 10)
-            assert probe.status is ResponseStatus.OK
+            clock.now += RECOVERY_S  # recovery window elapses → probes
+            for i in range(3, 3 + HALF_OPEN_PROBES):
+                probe = server.request(plans[i], 10)
+                assert probe.status is ResponseStatus.OK
             assert server.breaker.state is BreakerState.CLOSED
 
     def test_batch_poisoned_by_one_bad_request(self, plans):
@@ -564,15 +617,10 @@ class TestUnusableCurves:
 
     def test_scored_once_per_model_version(self, plans):
         bad = plans[0].job_id
-        store = ModelStore()
-        store.register("pl", StubPredictor(increasing={bad}))
-        pipeline = CountingPipeline(StubPredictor())
-        with AllocationServer(
-            pipeline, ServerConfig(workers=1), store=store, model_name="pl"
-        ) as server:
+        pipeline = CountingPipeline(StubPredictor(increasing={bad}))
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
             before = [server.request(plans[0], 10) for _ in range(3)]
-            store.register("pl", StubPredictor(increasing={bad}))
-            assert server.refresh_model() == 2
+            assert server.deploy(StubPredictor(increasing={bad})) == 2
             after = server.request(plans[0], 10)
             again = server.request(plans[0], 10)
         for response in (*before, after, again):
@@ -616,13 +664,16 @@ def recurring_pair(jobs):
 
 class TestFallbackPolicies:
     def test_passthrough_preserves_request(self, plans):
-        response = PassthroughFallback().recommend(plans[0], 37)
+        """Without a repository every request passes through."""
+        fallback = HistoricalMedianFallback(None)
+        response = fallback.recommend(
+            plans[0], 37, plan_signature(plans[0])
+        )
         assert response.optimal_tokens == 37
         assert response.job_id == plans[0].job_id
 
     def test_historical_median_uses_signature_history(self, repository):
         fallback = HistoricalMedianFallback(repository)
-        assert fallback.known_signatures > 0
         record = repository.records()[0]
         signature = plan_signature(record.plan)
         peaks = [
@@ -631,13 +682,13 @@ class TestFallbackPolicies:
             if plan_signature(r.plan) == signature
         ]
         expected = max(1, int(round(float(np.median(peaks)))))
-        rec = fallback.recommend(record.plan, 10_000)
+        rec = fallback.recommend(record.plan, 10_000, signature)
         assert rec.optimal_tokens == expected
 
     def test_historical_median_caps_at_request(self, repository):
         record = repository.records()[0]
         fallback = HistoricalMedianFallback(repository)
-        rec = fallback.recommend(record.plan, 1)
+        rec = fallback.recommend(record.plan, 1, plan_signature(record.plan))
         assert rec.optimal_tokens == 1
 
     def test_unknown_signature_passes_through(self, repository):
@@ -651,7 +702,8 @@ class TestFallbackPolicies:
                 break
         assert fresh_plan is not None
         fallback = HistoricalMedianFallback(repository)
-        assert fallback.recommend(fresh_plan, 123).optimal_tokens == 123
+        rec = fallback.recommend(fresh_plan, 123, plan_signature(fresh_plan))
+        assert rec.optimal_tokens == 123
 
     def test_server_uses_repository_fallback(self, plans, repository):
         pipeline = StubPipeline(fail_times=1000)
@@ -661,6 +713,36 @@ class TestFallbackPolicies:
             response = server.request(record.plan, 10_000)
         assert response.status is ResponseStatus.FALLBACK
         assert response.tokens < 10_000  # historical median, not passthrough
+
+    def test_breaker_open_fallback_hashes_the_plan_once(
+        self, repository, monkeypatch
+    ):
+        """The fallback looks up the signature submit computed."""
+        hashed = []
+
+        def counting_signature(plan):
+            hashed.append(plan.job_id)
+            return plan_signature(plan)
+
+        record = repository.records()[0]
+        config = ServerConfig(workers=1)
+        with AllocationServer(
+            StubPipeline(), config, repository=repository, clock=FakeClock()
+        ) as server:
+            for _ in range(config.breaker_failure_threshold):
+                server.breaker.record_failure()
+            monkeypatch.setattr(
+                server_module, "plan_signature", counting_signature
+            )
+            monkeypatch.setattr(
+                fallback_module, "plan_signature", counting_signature
+            )
+            response = server.request(record.plan, 10_000)
+        assert (response.status, response.reason) == (
+            ResponseStatus.FALLBACK, "breaker_open"
+        )
+        assert response.tokens < 10_000  # the signature's history answered
+        assert hashed == [record.job_id]
 
 
 class TestFeedbackAndMetrics:
@@ -718,37 +800,28 @@ class TestFeedbackAndMetrics:
 
 class TestHotSwap:
     def test_server_adopts_new_model_version(self, plans):
-        store = ModelStore()
-        store.register("pl", StubPredictor(a=-0.5, log_b=6.0))
-        pipeline = ScoringPipeline(StubPredictor(a=-0.1, log_b=1.0))
-        config = ServerConfig(workers=1, model_refresh_interval_s=0.01)
-        with AllocationServer(
-            pipeline, config, store=store, model_name="pl"
-        ) as server:
+        pipeline = ScoringPipeline(StubPredictor(a=-0.5, log_b=6.0))
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
             assert server.model_version == 1
             first = server.request(plans[0], 500)
-            store.register("pl", StubPredictor(a=-0.99, log_b=6.0))
-            assert wait_until(lambda: server.model_version == 2)
+            assert server.deploy(StubPredictor(a=-0.99, log_b=6.0)) == 2
+            assert server.model_version == 2
             second = server.request(plans[1], 500)
         assert first.status is ResponseStatus.OK
         assert second.status is ResponseStatus.OK
         # steeper PCC → the swapped-in model recommends more tokens
         assert second.recommendation.pcc.a == pytest.approx(-0.99)
-        assert server.metrics.snapshot()["counters"]["model_swaps"] == 2
+        # one deploy, one swap: the pipeline's own model is no swap
+        assert server.metrics.snapshot()["counters"]["model_swaps"] == 1
 
     def test_swap_retires_the_old_versions_answers(self, plans):
         """The same plan, asked before and after a swap, gets the new
         model's answer, not the old version's cached one."""
-        store = ModelStore()
-        store.register("pl", StubPredictor(a=-0.5, log_b=6.0))
-        pipeline = ScoringPipeline(StubPredictor())
-        with AllocationServer(
-            pipeline, ServerConfig(workers=1), store=store, model_name="pl"
-        ) as server:
+        pipeline = ScoringPipeline(StubPredictor(a=-0.5, log_b=6.0))
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
             first = server.request(plans[0], 100)
             cached = server.request(plans[0], 100)
-            store.register("pl", StubPredictor(a=-0.99, log_b=6.0))
-            assert server.refresh_model() == 2
+            assert server.deploy(StubPredictor(a=-0.99, log_b=6.0)) == 2
             after = server.request(plans[0], 100)
             cached_after = server.request(plans[0], 100)
         assert (first.status, first.tokens) == (ResponseStatus.OK, 50)
@@ -778,16 +851,11 @@ class TestHotSwap:
                     self.release.wait(timeout=10.0)
                 return answers
 
-        store = ModelStore()
-        store.register("pl", StubPredictor(a=-0.5, log_b=6.0))
-        pipeline = HoldFirstAnswers(StubPredictor())
-        with AllocationServer(
-            pipeline, ServerConfig(workers=1), store=store, model_name="pl"
-        ) as server:
+        pipeline = HoldFirstAnswers(StubPredictor(a=-0.5, log_b=6.0))
+        with AllocationServer(pipeline, ServerConfig(workers=1)) as server:
             held = server.submit(plans[0], 100)
             assert pipeline.scored.wait(timeout=5.0)
-            store.register("pl", StubPredictor(a=-0.99, log_b=6.0))
-            assert server.refresh_model() == 2
+            assert server.deploy(StubPredictor(a=-0.99, log_b=6.0)) == 2
             pipeline.release.set()
             # scored by version 1, cached after the swap
             assert held.result(timeout=5.0).tokens == 50
@@ -803,8 +871,6 @@ class TestHotSwap:
         def version_of(response):
             return round(-response.recommendation.pcc.a / step)
 
-        store = ModelStore()
-        store.register("pl", StubPredictor(a=-step))
         answers = []
         lock = threading.Lock()
         swapped = threading.Event()
@@ -819,13 +885,12 @@ class TestHotSwap:
                 i += 1
                 time.sleep(0.0002)
 
-        config = ServerConfig(workers=4, model_refresh_interval_s=0.001)
+        config = ServerConfig(workers=4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with AllocationServer(
-                ScoringPipeline(StubPredictor()), config,
-                store=store, model_name="pl",
+                ScoringPipeline(StubPredictor(a=-step)), config
             ) as server:
                 clients = [
                     threading.Thread(target=client, args=(server,))
@@ -835,8 +900,8 @@ class TestHotSwap:
                     thread.start()
                 for version in range(2, 12):
                     time.sleep(0.01)
-                    store.register("pl", StubPredictor(a=-step * version))
-                assert wait_until(lambda: server.model_version == 11)
+                    model = StubPredictor(a=-step * version)
+                    assert server.deploy(model) == version
                 time.sleep(0.01)
                 swapped.set()
                 for thread in clients:
@@ -852,7 +917,3 @@ class TestHotSwap:
         assert any(r.status is ResponseStatus.CACHED for _, r in served)
         for deployed, response in served:
             assert version_of(response) >= deployed
-
-    def test_store_requires_model_name(self):
-        with pytest.raises(ServingError):
-            AllocationServer(StubPipeline(), store=ModelStore())

@@ -58,30 +58,13 @@ class TestModelStore:
         with pytest.raises(PipelineError):
             store.get("nn", version=9)
 
-    def test_disk_roundtrip(self, trained, tmp_path):
-        store = ModelStore(root=tmp_path)
-        store.register("nn", trained.get("nn"))
-        fresh = ModelStore(root=tmp_path)
-        record = fresh.load_from_disk("nn", 1)
-        assert record.name == "nn"
-        assert fresh.get("nn").version == 1
-
     def test_latest_by_name(self, trained):
+        """Without a version, ``get`` returns the newest one."""
         store = ModelStore()
         store.register("nn", trained.get("nn"))
-        store.register("nn", trained.get("nn"))
-        assert store.latest("nn").version == 2
-
-    def test_latest_across_names(self, trained):
-        store = ModelStore()
-        with pytest.raises(PipelineError):
-            store.latest()
-        store.register("nn", trained.get("nn"))
-        store.register("xgboost_pl", trained.get("xgboost_pl"))
-        assert store.latest().name == "xgboost_pl"
-        store.register("nn", trained.get("nn"))
-        latest = store.latest()
-        assert (latest.name, latest.version) == ("nn", 2)
+        store.register("nn", trained.get("nn"), metadata={"round": 2})
+        record = store.get("nn")
+        assert (record.version, record.metadata) == (2, {"round": 2})
 
     def test_concurrent_register_and_get(self, trained):
         """Writers and readers race on the store without corruption."""
@@ -103,7 +86,7 @@ class TestModelStore:
                 for _ in range(200):
                     record = store.get("nn")
                     assert record.version >= 1
-                    assert store.latest("nn").version >= record.version
+                    assert store.get("nn").version >= record.version
                     assert "nn" in store
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -121,7 +104,7 @@ class TestModelStore:
             for v in range(1, 4 * registrations_per_writer + 2)
         ]
         assert versions == list(range(1, 4 * registrations_per_writer + 2))
-        assert store.latest("nn").version == 4 * registrations_per_writer + 1
+        assert store.get("nn").version == 4 * registrations_per_writer + 1
 
 
 class TestTrainingPipeline:
@@ -129,10 +112,10 @@ class TestTrainingPipeline:
         assert set(trained.models) == {"xgboost_ss", "xgboost_pl", "nn"}
 
     def test_registers_in_store(self, repository):
-        store = ModelStore()
         config = TasqConfig(train_nn=False, train_gnn=False)
-        TrainingPipeline(config, store=store).run(repository)
-        assert store.names() == ["xgboost_pl", "xgboost_ss"]
+        pipeline = TrainingPipeline(config)
+        pipeline.run(repository)
+        assert pipeline.store.names() == ["xgboost_pl", "xgboost_ss"]
 
     def test_rejects_empty_config(self, repository):
         config = TasqConfig(train_xgboost=False, train_nn=False, train_gnn=False)
@@ -191,11 +174,9 @@ class TestTrainingPipelineWorkers:
     def runs(self, repository):
         runs = {}
         for workers in (1, 2):
-            store = ModelStore()
-            trained = TrainingPipeline(self.CONFIG, store=store).run(
-                repository, workers=workers
-            )
-            runs[workers] = (trained, store)
+            pipeline = TrainingPipeline(self.CONFIG)
+            trained = pipeline.run(repository, workers=workers)
+            runs[workers] = (trained, pipeline.store)
         return runs
 
     def test_registration_order(self, runs):
@@ -204,7 +185,7 @@ class TestTrainingPipelineWorkers:
                 "xgboost_ss", "xgboost_pl", "nn", "gnn"
             ]
             assert store.names() == ["gnn", "nn", "xgboost_pl", "xgboost_ss"]
-            assert store.latest().name == "gnn"
+            assert all(store.get(name).version == 1 for name in trained.models)
 
     def test_same_models_at_any_worker_count(self, runs):
         serial, _ = runs[1]

@@ -202,6 +202,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "AREPAS error" in out
 
+    def test_serve_answers_every_job(self, repo_file, tmp_path, capsys):
+        records = load_repository(repo_file).records()[:4]
+        model_path = tmp_path / "model.pkl"
+        model_path.write_bytes(pickle.dumps(MarkedIncreasing(())))
+        code = main(
+            [
+                "serve", "--model", str(model_path), "--repo",
+                str(repo_file), "--limit", "4",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines[2:2 + len(records)]]
+        assert [row[0] for row in rows] == [r.job_id for r in records]
+        assert all(row[1] in ("ok", "cached") for row in rows)
+        (responses,) = [line for line in lines if "responses:" in line]
+        counts = responses.split(":")[1].split(",")
+        assert sum(int(part.split()[-1]) for part in counts) == len(records)
+
     def test_fleet_compares_every_regime(self, repo_file, tmp_path):
         out = tmp_path / "x.json"
         code = main(["fleet", "--repo", str(repo_file), "--out", str(out)])
@@ -217,8 +236,15 @@ class TestCLI:
             ["replay", "--policy", "knapsack"],
             ["fleet", "--repo", "hist.npz", "--deadline-slack", "0.1"],
             ["loadtest", "--tiny"],
+            ["serve", "--model", "m.pkl", "--repo", "hist.npz",
+             "--workers", "4"],
+            ["serve", "--model", "m.pkl", "--repo", "hist.npz",
+             "--batch", "8"],
         ],
-        ids=["replay-knapsack", "fleet-deadline-slack", "loadtest"],
+        ids=[
+            "replay-knapsack", "fleet-deadline-slack", "loadtest",
+            "serve-workers", "serve-batch",
+        ],
     )
     def test_removed_fleet_options_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
