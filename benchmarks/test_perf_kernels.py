@@ -10,10 +10,12 @@ useful for catching performance regressions:
 * the cluster executor,
 * featurization, with the GNN's graph sample and without it (the job
   vector alone, as scoring builds it for every other model family),
-* one boosting round and one NN training epoch,
+* one NN training epoch,
 * one GNN encoder forward-plus-backward step on 32 packed graphs,
 * the offline pipeline hot paths: ``build_dataset`` end-to-end, the
-  vectorized allocation-sweep kernel, and warm-versus-cold cached builds,
+  served booster's fit (XGBoost PL's 150 trees on the pipeline slice's
+  rows), the vectorized allocation-sweep kernel, and warm-versus-cold
+  cached builds,
 * the compiled inference kernels (``repro.ml.compiled``): flattened-GBM
   and fused-MLP throughput versus the reference paths at batch sizes
   1/64/1024, plus the routed XGBoost-PL scoring path end to end. These
@@ -44,7 +46,12 @@ from repro.ml import compiled as compiled_kernels
 from repro.ml.blas import single_thread
 from repro.ml.gbm import BoosterParams, GradientBoostingRegressor
 from repro.ml.gnn import GNNEncoder, PackedGraphs
-from repro.models import NNPCCModel, TrainConfig, build_dataset
+from repro.models import (
+    NNPCCModel,
+    TrainConfig,
+    XGBoostRuntimeModel,
+    build_dataset,
+)
 from repro.scope import (
     ClusterExecutor,
     WorkloadConfig,
@@ -156,20 +163,6 @@ def test_perf_featurization(benchmark, train_repo, graph):
     assert [f.graph is not None for f in features] == [graph] * 50
 
 
-def test_perf_gbm_fit(benchmark, rng):
-    features = rng.uniform(0, 10, size=(2000, 52))
-    targets = np.exp(rng.normal(4, 1, 2000))
-    params = BoosterParams(n_estimators=10, max_depth=6)
-
-    def fit():
-        return GradientBoostingRegressor(params, seed=0).fit(
-            features, targets
-        )
-
-    model = benchmark(fit)
-    assert model.num_trees == 10
-
-
 def test_perf_nn_epoch(benchmark, train_dataset):
     def one_epoch():
         return NNPCCModel(
@@ -216,6 +209,21 @@ def test_perf_build_dataset_e2e(benchmark, pipeline_repo):
     assert len(dataset) > 0
     _PIPELINE["build_dataset_e2e_s"] = benchmark.stats.stats.median
     _PIPELINE["build_dataset_jobs"] = len(pipeline_repo)
+
+
+def test_perf_gbm_fit(benchmark, pipeline_repo):
+    """The served booster's fit: XGBoost PL's parameters on the slice's
+    point rows, whose columns have as few bins as served rows do."""
+    rows, targets = build_dataset(pipeline_repo).point_rows()
+    params = XGBoostRuntimeModel().booster_params
+    model = benchmark.pedantic(
+        lambda: GradientBoostingRegressor(params, seed=0).fit(rows, targets),
+        rounds=5,
+        iterations=1,
+    )
+    assert model.num_trees == params.n_estimators
+    _PIPELINE["gbm_fit_s"] = benchmark.stats.stats.median
+    _PIPELINE["gbm_fit_rows"] = len(targets)
 
 
 def test_perf_vectorized_sweep(benchmark, big_skyline):
@@ -326,7 +334,6 @@ def test_perf_scoring_path_compiled_vs_reference(train_dataset):
     """
     from itertools import cycle, islice
 
-    from repro.models import XGBoostRuntimeModel
     from repro.models.dataset import PCCDataset
     from repro.models.xgboost_models import reference_window
 

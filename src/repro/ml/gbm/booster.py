@@ -10,7 +10,7 @@ from repro.exceptions import ModelError, NotFittedError
 from repro.ml import compiled as compiled_kernels
 from repro.ml.compiled import FlattenedForest
 from repro.ml.gbm.objectives import GammaDeviance, Objective
-from repro.ml.gbm.tree import BinMapper, RegressionTree
+from repro.ml.gbm.tree import BinMapper, HistogramLayout, RegressionTree
 
 __all__ = ["BoosterParams", "GradientBoostingRegressor"]
 
@@ -86,6 +86,7 @@ class GradientBoostingRegressor:
         raw = np.full(n_samples, self._base_score)
         self._trees = []
         self._compiled = None  # refit invalidates the flattened kernel
+        layout = HistogramLayout(binned)
 
         for _ in range(params.n_estimators):
             grad, hess = self.objective.gradients(targets, raw)
@@ -97,9 +98,11 @@ class GradientBoostingRegressor:
                 grad = np.where(keep, grad, 0.0)
                 hess = np.where(keep, hess, 0.0)
 
-            tree = RegressionTree(params.max_depth).fit(binned, grad, hess)
+            # Each training row's leaf value is what predict(binned) reads.
+            tree = RegressionTree(params.max_depth)
+            leaf_values = tree.fit_predict(binned, grad, hess, layout)
             self._trees.append(tree)
-            raw = raw + params.learning_rate * tree.predict(binned)
+            raw = raw + params.learning_rate * leaf_values
         return self
 
     # ------------------------------------------------------------------

@@ -49,6 +49,16 @@ class Objective(ABC):
         """Raise if the targets are unusable for this objective."""
 
 
+def _require_positive_finite(y: np.ndarray, objective: str) -> None:
+    """Both log-link objectives need finite targets above zero: one NaN
+    target, or +inf under gamma, would make every prediction NaN."""
+    y = np.asarray(y)
+    if not np.isfinite(y).all():
+        raise ModelError(f"{objective} requires finite targets")
+    if np.any(y <= 0):
+        raise ModelError(f"{objective} requires strictly positive targets")
+
+
 class GammaDeviance(Objective):
     """Gamma negative log-likelihood with a log link (``reg:gamma``).
 
@@ -60,8 +70,7 @@ class GammaDeviance(Objective):
     """
 
     def validate_targets(self, y: np.ndarray) -> None:
-        if np.any(np.asarray(y) <= 0):
-            raise ModelError("gamma regression requires strictly positive targets")
+        _require_positive_finite(y, "gamma regression")
 
     def base_score(self, y: np.ndarray) -> float:
         self.validate_targets(y)
@@ -99,11 +108,7 @@ class PinballLoss(Objective):
         self.quantile = float(quantile)
 
     def validate_targets(self, y: np.ndarray) -> None:
-        if np.any(np.asarray(y) <= 0):
-            raise ModelError(
-                "pinball regression (log link) requires strictly "
-                "positive targets"
-            )
+        _require_positive_finite(y, "pinball regression (log link)")
 
     def base_score(self, y: np.ndarray) -> float:
         self.validate_targets(y)
